@@ -37,6 +37,26 @@ def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
+def _consumed(g) -> None:
+    raise RuntimeError("backward() through a tape that an earlier backward() already consumed")
+
+
+def _group(keys: np.ndarray) -> tuple:
+    """Stable sort of 1-D integer keys into runs of equal keys.
+
+    Returns (order, starts, run_keys): keys[order] is sorted with ties in
+    list order, runs begin at positions `starts` of the sorted array, and
+    run_keys holds each run's key.
+    """
+    order = np.argsort(keys, kind="stable")
+    ks = keys[order]
+    first = np.empty(ks.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return order, starts, ks[starts]
+
+
 class Tensor:
     """Array node on the gradient tape."""
 
@@ -73,11 +93,19 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor to every reachable parameter."""
+        """Backpropagate from this tensor to every reachable parameter.
+
+        The tape is consumed on the way: once an interior node has pushed
+        its gradient to its parents, its gradient, closure and parent
+        links are dropped, so memory falls as the walk proceeds. Leaves
+        (tensors created with requires_grad=True) keep their gradients.
+        A second backward() through a consumed node raises RuntimeError.
+        """
         if not self.requires_grad:
             raise RuntimeError(
                 "backward() on a tensor with no recorded computation; "
@@ -105,9 +133,13 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(_as_array(seed))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
+                node._backward = _consumed
+                node._parents = ()
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -247,7 +279,7 @@ class Tensor:
         def bw(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
         return Tensor._make(out_data, (self,), bw)
 
@@ -346,7 +378,9 @@ def gather_rows(x, idx: np.ndarray):
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        if idx.size:
+            order, starts, rows = _group(idx)
+            gx[rows] = np.add.reduceat(g[order], starts, axis=0)
         x._accumulate(gx)
 
     return Tensor._make(out_data, (x,), bw)
@@ -364,22 +398,25 @@ def scatter_max(messages, targets: np.ndarray, n_rows: int):
     is_tensor = isinstance(messages, Tensor)
     msg_data = messages.data if is_tensor else messages
     out_data = np.zeros((n_rows, msg_data.shape[1]), dtype=np.float64)
-    groups: list[np.ndarray | None] = [None] * n_rows
-    for n in range(n_rows):
-        idx = np.nonzero(targets == n)[0]
-        if idx.size:
-            groups[n] = idx
-            out_data[n] = msg_data[idx].max(axis=0)
+    if targets.size:
+        order, starts, rows = _group(targets)
+        sorted_msg = msg_data[order]
+        out_data[rows] = np.maximum.reduceat(sorted_msg, starts, axis=0)
     if not is_tensor:
         return out_data
 
     def bw(g):
         gm = np.zeros_like(msg_data)
-        for n, idx in enumerate(groups):
-            if idx is None:
-                continue
-            winners = idx[msg_data[idx].argmax(axis=0)]
-            gm[winners, np.arange(msg_data.shape[1])] += g[n]
+        if targets.size:
+            # Per run and coordinate, the first sorted row that holds the
+            # maximum wins: the first maximal message in list order. A NaN
+            # counts as maximal, as in argmax.
+            hit = sorted_msg == out_data[targets[order]]
+            if np.isnan(out_data[rows]).any():
+                hit |= np.isnan(sorted_msg)
+            pos = np.where(hit, np.arange(order.size)[:, None], order.size)
+            winners = order[np.minimum.reduceat(pos, starts, axis=0)]
+            gm[winners, np.arange(msg_data.shape[1])] = g[rows]
         messages._accumulate(gm)
 
     return Tensor._make(out_data, (messages,), bw)

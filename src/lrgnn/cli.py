@@ -57,6 +57,8 @@ _TRAIN_OPTS = {
     "eval_every": int,
     "select_on": str,
     "p_max": float,
+    # Accepted and ignored, so older configs and scripts still run:
+    # training has a single, deterministic code path.
     "deterministic": bool,
     "full_interference": bool,
 }
@@ -216,7 +218,6 @@ def cmd_train(args) -> int:
         eval_every=resolved["eval_every"],
         select_on=resolved["select_on"],
         checkpoint_path=os.path.join(args.out, "model.bin"),
-        deterministic=resolved["deterministic"],
         full_interference=resolved["full_interference"],
     )
     params, report = trainer.train(train_set, cfg, test_set)
@@ -358,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--select-on", dest="select_on", choices=("test", "train"))
     t.add_argument("--p-max", type=float, dest="p_max")
     t.add_argument("--deterministic", action="store_const", const=True, default=None,
-                   help="force single-threaded training")
+                   help="accepted and ignored: training is always deterministic")
     t.add_argument("--full-interference", dest="full_interference", action="store_const",
                    const=True, default=None, help="ignore the edge threshold in the loss")
     t.set_defaults(func=cmd_train)

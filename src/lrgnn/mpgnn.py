@@ -17,6 +17,7 @@ widths 6*Nt and 64+4*Nt leave no room for them).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -71,8 +72,8 @@ class MpgnnArch:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.n_rounds < 1:
             raise ValueError("n_rounds must be >= 1")
-        if self.p_max <= 0.0:
-            raise ValueError("p_max must be positive")
+        if not math.isfinite(self.p_max) or self.p_max <= 0.0:
+            raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
         if self.kind == "dense":
             if self.rank1 is not None or self.rank2 is not None:
                 raise ValueError("dense architectures take no ranks")

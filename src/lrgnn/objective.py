@@ -7,8 +7,10 @@ full_interference=True to sum over every off-diagonal pair instead.
 Two routes compute the same quantities on purpose. The complex-valued
 functions (rate_report, sinr, weighted_sum_rate) serve inference and
 analysis. The stacked-real functions (wsr_from_real, loss) accept
-autodiff tensors and carry gradients end-to-end for training. rate is
-log2(1+SINR) evaluated as log1p/ln(2) in both; the routes agree to
+autodiff tensors and carry gradients end-to-end for training;
+wsr_from_real also takes the graph-level arrays (WsrTerms) of a
+disjoint union of samples, so one call covers a training union. rate
+is log2(1+SINR) evaluated as log1p/ln(2) in both; the routes agree to
 floating-point rounding and are cross-checked in the tests.
 """
 
@@ -89,28 +91,61 @@ def _rot_half(x: np.ndarray) -> np.ndarray:
     return np.concatenate([-x[..., nt:], x[..., :nt]], axis=-1)
 
 
-def wsr_from_real(s: Scenario, q_real, edges=None, *, full_interference: bool = False):
-    """Weighted sum rate with beamformers as stacked [Re | Im] rows.
+def _power(h: np.ndarray, q_real):
+    # |h^H q|^2 per row, from the real and imaginary parts of the inner product.
+    return square(tsum(h * q_real, axis=1)) + square(tsum(_rot_half(h) * q_real, axis=1))
 
-    q_real may be an autodiff tensor (gradients flow through SINR and
-    the rate) or a plain (N, 2*Nt) array; channel data enter as
-    constants.
-    """
+
+class WsrTerms(NamedTuple):
+    """Constant inputs of the stacked-real WSR over V vertices: one
+    sample's, or a disjoint union's with each sample's pair index offset
+    by the vertex count of the samples before it."""
+
+    desired: np.ndarray  # (V, 2*Nt) desired channels, [Re | Im] rows
+    pair_channels: np.ndarray  # (P, 2*Nt) channel of each interfering pair
+    pairs: np.ndarray  # (P, 2) (source, target) vertex indices
+    weights: np.ndarray  # (V,)
+    noise: np.ndarray  # (V,) noise powers
+
+
+def wsr_terms(s: Scenario, edges=None, *, full_interference: bool = False) -> WsrTerms:
+    """The WsrTerms of one scenario, interfering over `edges` or, with
+    full_interference=True, over every off-diagonal pair."""
     n = s.n_pairs
     if np.any(s.noise_powers <= 0.0):
         raise ValueError("noise powers must be positive")
-    diag = split_complex(s.channels[np.arange(n), np.arange(n), :])
-    sig = square(tsum(diag * q_real, axis=1)) + square(tsum(_rot_half(diag) * q_real, axis=1))
     pairs = _resolve_pairs(s, edges, full_interference)
-    if pairs.shape[0]:
-        h_e = split_complex(s.channels[pairs[:, 0], pairs[:, 1], :])
-        q_src = gather_rows(q_real, pairs[:, 0])
-        p_e = square(tsum(h_e * q_src, axis=1)) + square(tsum(_rot_half(h_e) * q_src, axis=1))
-        interf = scatter_sum(p_e, pairs[:, 1], n)
+    desired = split_complex(s.channels[np.arange(n), np.arange(n), :])
+    pair_channels = split_complex(s.channels[pairs[:, 0], pairs[:, 1], :])
+    return WsrTerms(desired, pair_channels, pairs, s.weights, s.noise_powers)
+
+
+def wsr_from_real(s, q_real, edges=None, *, full_interference: bool = False):
+    """Weighted sum rate with beamformers as stacked [Re | Im] rows.
+
+    s is a Scenario, interfering over `edges` (or every off-diagonal
+    pair with full_interference=True), or precomputed WsrTerms; the
+    WsrTerms of a disjoint union give the sum of its samples' rates.
+    Pair (i, n) adds |h_in^H q_i|^2 to the interference at vertex n.
+    q_real may be an autodiff tensor (gradients flow through SINR and
+    the rate) or a plain (V, 2*Nt) array; channel data enter as
+    constants.
+    """
+    if isinstance(s, WsrTerms):
+        if edges is not None or full_interference:
+            raise ValueError("WsrTerms already fix the interfering pairs")
+        t = s
+    else:
+        t = wsr_terms(s, edges, full_interference=full_interference)
+    n = t.desired.shape[0]
+    sig = _power(t.desired, q_real)
+    if t.pairs.shape[0]:
+        p_e = _power(t.pair_channels, gather_rows(q_real, t.pairs[:, 0]))
+        interf = scatter_sum(p_e, t.pairs[:, 1], n)
     else:
         interf = np.zeros(n)
-    snr = sig / maximum(interf + s.noise_powers, DENOM_FLOOR)
-    return tsum(s.weights * (log1p(snr) / LN2))
+    snr = sig / maximum(interf + t.noise, DENOM_FLOOR)
+    return tsum(t.weights * (log1p(snr) / LN2))
 
 
 def loss(samples, qs_real, *, full_interference: bool = False):

@@ -14,6 +14,7 @@ Gaussian small-scale fading g per antenna.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +31,8 @@ _WEIGHT_MODES = ("all_ones", "uniform01")
 
 
 class DatasetFormatError(FormatError):
-    """Raised when a dataset file is malformed (magic, version, truncation)."""
+    """Raised when a dataset file is malformed (magic, version, truncation,
+    edges that interference_edges could not have produced)."""
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,10 @@ class ScenarioConfig:
             raise ValueError(f"d_max {self.d_max} must be < area_side {self.area_side}")
         if self.edge_threshold <= 0.0:
             raise ValueError("edge_threshold must be positive")
-        if self.p_max <= 0.0:
-            raise ValueError("p_max must be positive")
+        if not math.isfinite(self.p_max) or self.p_max <= 0.0:
+            raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.shadow_sigma_db < 0.0:
             raise ValueError("shadow_sigma_db must be >= 0")
         if self.pathloss_log_base not in _LOG_BASES:
@@ -281,6 +285,24 @@ def write_dataset(samples: list[Sample], path) -> None:
             f.write(g.edges.astype("<u4").tobytes())
 
 
+def _edge_problem(edges: np.ndarray, n: int) -> str | None:
+    """Why `edges` is not an edge list of an n-vertex interference graph
+    (indices below n, no self-loops, strictly increasing in (source,
+    target)), or None if it is one."""
+    if not edges.shape[0]:
+        return None
+    if edges.max() >= n:
+        return f"has an edge index >= its pair count {n}"
+    if np.any(edges[:, 0] == edges[:, 1]):
+        return "has a self-loop edge"
+    step = np.diff(edges[:, 0] * n + edges[:, 1])
+    if np.any(step == 0):
+        return "has a duplicate edge"
+    if np.any(step < 0):
+        return "has edges not sorted by (source, target)"
+    return None
+
+
 def read_dataset(path) -> list[Sample]:
     """Read a dataset file back into (Scenario, Graph) samples.
 
@@ -315,6 +337,9 @@ def read_dataset(path) -> list[Sample]:
             raise DatasetFormatError(f"{path}: sample {k} claims {n_edges} edges")
         raw = r.take(8 * n_edges, f"sample {k} edges")
         edges = np.frombuffer(raw, dtype="<u4").astype(np.intp).reshape(n_edges, 2)
+        problem = _edge_problem(edges, n)
+        if problem:
+            raise DatasetFormatError(f"{path}: sample {k} {problem}")
         s = Scenario(
             tx_positions=tx,
             rx_positions=rx,

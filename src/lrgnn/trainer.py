@@ -1,21 +1,22 @@
 """Training and evaluation loops for the beamforming GNN.
 
 Training minimizes the negative mean weighted sum rate with Adam over
-seeded shuffled mini-batches. Per-sample gradients are computed on
-independent tapes and folded in sample order (sum, then divide by the
-batch size), so results are bit-reproducible for a given seed even when
-samples are evaluated by a thread pool. The worker count is read from
-the LRGNN_THREADS environment variable (default 1); deterministic=True
-in the config pins it back to 1.
+seeded shuffled mini-batches. A mini-batch is split into unions of up
+to 16 samples. Each union is one disjoint-union graph: sample k's
+vertex indices are offset by the vertex count of the samples before it
+(as in PyTorch Geometric's mini-batching), so one forward pass and one
+autodiff tape cover the whole union and its loss is the sum of the
+samples' losses. Union gradients are added into running totals in
+union order and divided by the batch size, so a given seed always
+gives bit-identical results.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import os
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,14 @@ import numpy as np
 from .autodiff import Tensor
 from .mpgnn import MpgnnArch, MpgnnParams, forward, forward_real, init_params, rebuild_params, save_model
 from .nn import Adam
-from .objective import weighted_sum_rate, wsr_from_real
+from .objective import WsrTerms, weighted_sum_rate, wsr_from_real, wsr_terms
+from .scenario import Graph
 
 _SELECT_MODES = ("test", "train")
+
+# Samples per disjoint-union graph. Larger unions were no faster per
+# sample and a tape's memory grows with its union.
+_UNION_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -38,12 +44,11 @@ class TrainConfig:
     eval_every: int = 1
     select_on: str = "test"
     checkpoint_path: str | None = None
-    deterministic: bool = False
     full_interference: bool = False
 
     def __post_init__(self):
-        if self.lr < 0.0:
-            raise ValueError("lr must be >= 0")
+        if not math.isfinite(self.lr) or self.lr < 0.0:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -83,29 +88,46 @@ def params_checksum(params: MpgnnParams) -> str:
     return h.hexdigest()
 
 
-def _worker_count(deterministic: bool) -> int:
-    if deterministic:
-        return 1
-    raw = os.environ.get("LRGNN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"LRGNN_THREADS must be an integer, got {raw!r}") from None
-
-
 def _snap_f32(arrays: list) -> list:
     return [a.astype(np.float32).astype(np.float64) for a in arrays]
 
 
-def _sample_grad(arch: MpgnnArch, arrays: list, sample, full_interference: bool):
-    """Loss and parameter gradients of one sample on a fresh tape."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    params = rebuild_params(arch, tensors)
-    q = forward_real(sample.graph, params, arch)
-    neg = -wsr_from_real(sample.scenario, q, sample.graph.edges, full_interference=full_interference)
-    neg.backward()
-    grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
-    return float(neg.data), grads
+def _union(samples, full_interference: bool) -> tuple[Graph, WsrTerms]:
+    """One disjoint-union Graph of the samples and its WsrTerms.
+
+    The edges and interference pairs of each sample are offset by the
+    vertex count of the samples before it.
+    """
+    vertex_features, edges, edge_features, terms = [], [], [], []
+    offset = 0
+    for scenario, graph in samples:
+        t = wsr_terms(scenario, graph.edges, full_interference=full_interference)
+        vertex_features.append(graph.vertex_features)
+        edges.append(graph.edges + offset)
+        edge_features.append(graph.edge_features)
+        terms.append(t._replace(pairs=t.pairs + offset))
+        offset += graph.n_vertices
+    union = Graph(np.concatenate(vertex_features), np.concatenate(edges), np.concatenate(edge_features))
+    return union, WsrTerms(*(np.concatenate(parts) for parts in zip(*terms)))
+
+
+def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
+    """Summed loss (negative WSR) of a batch and its summed parameter
+    gradients: one tape per union of up to _UNION_SIZE samples, union
+    gradients added in union order."""
+    loss = 0.0
+    totals = [np.zeros_like(a) for a in arrays]
+    for lo in range(0, len(batch), _UNION_SIZE):
+        graph, terms = _union(batch[lo : lo + _UNION_SIZE], full_interference)
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        q = forward_real(graph, rebuild_params(arch, tensors), arch)
+        neg = -wsr_from_real(terms, q)
+        neg.backward()
+        loss += float(neg.data)
+        for total, t in zip(totals, tensors):
+            if t.grad is not None:
+                total += t.grad
+    return loss, totals
 
 
 def evaluate(arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False) -> float:
@@ -151,7 +173,6 @@ def train(train_set, cfg: TrainConfig, test_set=None):
 
     t0 = time.perf_counter()
     select_on = cfg.select_on if test_set else "train"
-    workers = _worker_count(cfg.deterministic)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     params = init_params(cfg.arch, cfg.seed)
     arrays = params.flat()
@@ -170,53 +191,40 @@ def train(train_set, cfg: TrainConfig, test_set=None):
     best_score = report.initial_test_sum_rate if select_on == "test" else float("-inf")
     last_test = report.initial_test_sum_rate
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(train_set))
-            epoch_losses = []
-            for bi in range(0, len(order), cfg.batch_size):
-                batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
-                work = lambda s: _sample_grad(cfg.arch, arrays, s, cfg.full_interference)
-                results = list(pool.map(work, batch)) if pool else [work(s) for s in batch]
-                # Ordered fold: identical result for any worker count.
-                totals = [np.zeros_like(a) for a in arrays]
-                batch_loss = 0.0
-                for loss_s, grads in results:
-                    batch_loss += loss_s
-                    for t, g in zip(totals, grads):
-                        t += g
-                batch_loss /= len(batch)
-                if not np.isfinite(batch_loss):
-                    raise FloatingPointError(
-                        f"non-finite loss at epoch {epoch}, batch {bi // cfg.batch_size}"
-                    )
-                try:
-                    adam.step(arrays, [t / len(batch) for t in totals])
-                except FloatingPointError as err:
-                    raise FloatingPointError(
-                        f"epoch {epoch}, batch {bi // cfg.batch_size}: {err}"
-                    ) from None
-                epoch_losses.append(batch_loss)
-            report.train_loss.append(float(np.mean(epoch_losses)))
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(train_set))
+        epoch_losses = []
+        for bi in range(0, len(order), cfg.batch_size):
+            batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
+            batch_loss, totals = _batch_grad(cfg.arch, arrays, batch, cfg.full_interference)
+            batch_loss /= len(batch)
+            if not np.isfinite(batch_loss):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch}, batch {bi // cfg.batch_size}"
+                )
+            try:
+                adam.step(arrays, [t / len(batch) for t in totals])
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"epoch {epoch}, batch {bi // cfg.batch_size}: {err}"
+                ) from None
+            epoch_losses.append(batch_loss)
+        report.train_loss.append(float(np.mean(epoch_losses)))
 
-            if select_on == "train":
-                score = -report.train_loss[-1]
-            if test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-                last_test = test_metric()
-                if select_on == "test":
-                    score = last_test
-            elif select_on == "test":
-                score = float("-inf")  # not evaluated this epoch, cannot win
-            report.test_sum_rate.append(last_test)
+        if select_on == "train":
+            score = -report.train_loss[-1]
+        if test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+            last_test = test_metric()
+            if select_on == "test":
+                score = last_test
+        elif select_on == "test":
+            score = float("-inf")  # not evaluated this epoch, cannot win
+        report.test_sum_rate.append(last_test)
 
-            if score > best_score:
-                best_score = score
-                best_epoch = epoch
-                best_arrays = [a.copy() for a in arrays]
-    finally:
-        if pool:
-            pool.shutdown()
+        if score > best_score:
+            best_score = score
+            best_epoch = epoch
+            best_arrays = [a.copy() for a in arrays]
 
     final = rebuild_params(cfg.arch, _snap_f32(best_arrays))
     report.best_epoch = best_epoch

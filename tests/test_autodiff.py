@@ -33,6 +33,31 @@ def central_diff(f, x, h=1e-6):
     return g
 
 
+def scatter_max_loop(msgs, targets, n_rows, g):
+    """Plain-loop reference: per-row max, and each coordinate's gradient
+    to the first maximal message in list order."""
+    out = np.zeros((n_rows, msgs.shape[1]))
+    gm = np.zeros_like(msgs)
+    for n in range(n_rows):
+        idx = [j for j in range(len(targets)) if targets[j] == n]
+        if not idx:
+            continue
+        for c in range(msgs.shape[1]):
+            best = max(msgs[j, c] for j in idx)
+            out[n, c] = best
+            winner = next(j for j in idx if msgs[j, c] == best)
+            gm[winner, c] += g[n, c]
+    return out, gm
+
+
+def gather_rows_grad_loop(idx, n_rows, g):
+    """Plain-loop reference for the backward of gather_rows."""
+    gx = np.zeros((n_rows, g.shape[1]))
+    for k, i in enumerate(idx):
+        gx[i] += g[k]
+    return gx
+
+
 def check_grad(build, x0, rtol=1e-5, atol=1e-8):
     """build maps a Tensor (or ndarray) to a scalar; compare backward
     against central differences."""
@@ -178,6 +203,36 @@ class TestStructuralOps:
         tsum(scatter_max(t, np.array([0, 0]), 1)).backward()
         np.testing.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_scatter_max_matches_loop_reference(self, ties):
+        # Unsorted targets, rows 2 and 6 without messages; with ties, values
+        # come from {0, 1, 2} so most groups have several maximal messages.
+        tgt = np.array([3, 0, 5, 3, 1, 0, 3, 7, 5, 0, 4, 3, 1, 7])
+        shape = (tgt.size, 6)
+        if ties:
+            msgs = self.rng.integers(0, 3, size=shape).astype(float)
+        else:
+            msgs = self.rng.normal(size=shape)
+        g = self.rng.normal(size=(8, 6))
+        want_out, want_grad = scatter_max_loop(msgs, tgt, 8, g)
+        np.testing.assert_array_equal(scatter_max(msgs, tgt, 8), want_out)
+        t = Tensor(msgs, requires_grad=True)
+        taped = scatter_max(t, tgt, 8)
+        np.testing.assert_array_equal(taped.data, want_out)
+        taped.backward(seed=g)
+        np.testing.assert_array_equal(t.grad, want_grad)
+
+    def test_gather_rows_backward_matches_loop_reference(self):
+        idx = np.array([4, 0, 4, 2, 0, 4, 1, 2])  # unsorted, repeats, row 3 unused
+        x = self.rng.normal(size=(5, 3))
+        g = self.rng.normal(size=(idx.size, 3))
+        np.testing.assert_array_equal(gather_rows(x, idx), x[idx])
+        t = Tensor(x, requires_grad=True)
+        taped = gather_rows(t, idx)
+        np.testing.assert_array_equal(taped.data, x[idx])
+        taped.backward(seed=g)
+        np.testing.assert_allclose(t.grad, gather_rows_grad_loop(idx, 5, g), rtol=1e-12, atol=0.0)
+
 
 class TestBackwardContract:
     def test_chain_rule_scalar(self):
@@ -215,6 +270,22 @@ class TestBackwardContract:
         y.backward()
         assert float(t.grad) == pytest.approx(7.0)
 
+    def test_backward_keeps_leaf_gradients_only(self):
+        w = Tensor(np.arange(1.0, 4.0), requires_grad=True)
+        h = square(w * 2.0)
+        y = tsum(h)
+        y.backward()
+        np.testing.assert_array_equal(w.grad, 8.0 * np.arange(1.0, 4.0))
+        assert h.grad is None and y.grad is None
+
+    def test_second_backward_on_consumed_tape_raises(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        y = tsum(square(w))
+        y.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            y.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0])
+
     def test_matmul_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             Tensor(np.ones(3), requires_grad=True) @ Tensor(np.ones(3))
@@ -233,6 +304,7 @@ class TestDispatchParity:
         def run(a, b):
             h = relu(a @ b)
             h = sigmoid(gather_rows(h, idx))
+            h = scatter_max(h, np.array([2, 0, 2, 4]), 5)
             n = sqrt(tsum(square(h), axis=1, keepdims=True))
             return value(h * (1.0 / maximum(n, 1.0)))
 

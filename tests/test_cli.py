@@ -71,6 +71,12 @@ class TestGenData:
             main(["gen-data", "--train", "2"])
         assert e.value.code == 2
 
+    def test_non_finite_p_max_rejected(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "o"), "--p-max", "nan"])
+        assert rc == 1
+        assert "p_max" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "train.bin").exists()
+
     def test_bad_sample_counts(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path), "--train", "0"])
         assert rc == 1
@@ -156,6 +162,23 @@ class TestEval:
         ])
         assert rc == 1
         assert "Nt" in capsys.readouterr().err
+
+    def test_bad_dataset_edge_is_one_line_error(self, model_dir, tmp_path, capsys):
+        # A 3-pair test set whose last sample has an edge targeting pair 7.
+        gen = tmp_path / "d3"
+        assert main(["gen-data", "--out", str(gen), "--pairs", "3", "--antennas", "2",
+                     "--train", "1", "--test", "2", "--edge-threshold", "1500"]) == 0
+        raw = bytearray((gen / "test.bin").read_bytes())
+        assert raw[-4:] != b"\x07\x00\x00\x00"
+        raw[-4:] = b"\x07\x00\x00\x00"
+        (gen / "test.bin").write_bytes(bytes(raw))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model_dir / "model.bin"),
+                   "--data", str(gen / "test.bin"), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "edge index" in err
 
     def test_missing_model_file(self, data_dir, tmp_path):
         rc = main([

@@ -56,8 +56,9 @@ class TestArch:
             MpgnnArch(n_tx_antennas=0)
         with pytest.raises(ValueError, match="n_rounds"):
             MpgnnArch(n_tx_antennas=2, n_rounds=0)
-        with pytest.raises(ValueError, match="p_max"):
-            MpgnnArch(n_tx_antennas=2, p_max=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="p_max"):
+                MpgnnArch(n_tx_antennas=2, p_max=bad)
 
 
 class TestCounts:

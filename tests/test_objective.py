@@ -5,12 +5,14 @@ import pytest
 
 from lrgnn.autodiff import Tensor
 from lrgnn.objective import (
+    WsrTerms,
     baseline_beamformers,
     loss,
     rate_report,
     sinr,
     weighted_sum_rate,
     wsr_from_real,
+    wsr_terms,
 )
 from lrgnn.scenario import (
     Sample,
@@ -145,6 +147,19 @@ class TestRealRoute:
             ref = weighted_sum_rate(sample.scenario, q, sample.graph.edges)
             got = wsr_from_real(sample.scenario, split_complex(q), sample.graph.edges)
             assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_terms_of_a_disjoint_union_sum_the_rates(self):
+        a, b = random_sample(5, n=3, nt=2), random_sample(6, n=4, nt=2)
+        rng = np.random.default_rng(50)
+        qa, qb = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+        ta = wsr_terms(a.scenario, a.graph.edges)
+        tb = wsr_terms(b.scenario, b.graph.edges)
+        assert wsr_from_real(ta, qa) == wsr_from_real(a.scenario, qa, a.graph.edges)
+        union = WsrTerms(*(np.concatenate(p) for p in zip(ta, tb._replace(pairs=tb.pairs + 3))))
+        want = wsr_from_real(a.scenario, qa, a.graph.edges) + wsr_from_real(b.scenario, qb, b.graph.edges)
+        assert wsr_from_real(union, np.concatenate([qa, qb])) == pytest.approx(want, rel=1e-12)
+        with pytest.raises(ValueError, match="WsrTerms"):
+            wsr_from_real(ta, qa, a.graph.edges)
 
     def test_loss_single_sample_is_negative_wsr(self):
         sample = random_sample(1)

@@ -1,10 +1,13 @@
 """Network generation, graph construction, and dataset file checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from lrgnn.scenario import (
     DatasetFormatError,
+    Graph,
     Sample,
     ScenarioConfig,
     build_graph,
@@ -46,8 +49,12 @@ class TestConfigValidation:
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, pathloss_log_base="ln")
         with pytest.raises(ValueError, match="weights_mode"):
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, weights_mode="exp")
-        with pytest.raises(ValueError, match="p_max"):
-            ScenarioConfig(n_pairs=2, n_tx_antennas=2, p_max=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="p_max"):
+                ScenarioConfig(n_pairs=2, n_tx_antennas=2, p_max=bad)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="snr_db"):
+                ScenarioConfig(n_pairs=2, n_tx_antennas=2, snr_db=bad)
         with pytest.raises(ValueError, match="edge_threshold"):
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, edge_threshold=-1.0)
         with pytest.raises(ValueError, match="shadow_sigma_db"):
@@ -275,6 +282,22 @@ class TestDatasetFiles:
         write_dataset(generate_dataset(cfg, 1), p)
         p.write_bytes(p.read_bytes() + b"\x00\x00")
         with pytest.raises(DatasetFormatError, match="trailing"):
+            read_dataset(p)
+
+    @pytest.mark.parametrize("edges, problem", [
+        ([[0, 1], [2, 7]], "edge index"),
+        ([[0, 1], [1, 1]], "self-loop"),
+        ([[0, 1], [0, 1]], "duplicate"),
+        ([[1, 0], [0, 2]], "not sorted"),
+    ], ids=["out_of_range", "self_loop", "duplicate", "unsorted"])
+    def test_bad_edges_reported(self, tmp_path, edges, problem):
+        good = generate_dataset(small_cfg(n_pairs=3), 2)
+        s, g = good[1]
+        bad = np.array(edges, dtype=np.intp)
+        graph = Graph(g.vertex_features, bad, np.zeros((bad.shape[0], g.edge_features.shape[1])))
+        p = tmp_path / "e.bin"
+        write_dataset([good[0], Sample(s, graph)], p)
+        with pytest.raises(DatasetFormatError, match=f"sample 1 .*{problem}"):
             read_dataset(p)
 
     def test_graph_rebuilt_from_stored_edges(self, tmp_path):

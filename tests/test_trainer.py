@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from lrgnn.mpgnn import MpgnnArch, init_params, load_model, rebuild_params
-from lrgnn.objective import weighted_sum_rate
-from lrgnn.mpgnn import forward
-from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset
+from lrgnn.autodiff import Tensor
+from lrgnn.mpgnn import MpgnnArch, forward, forward_real, init_params, load_model, rebuild_params
+from lrgnn.objective import weighted_sum_rate, wsr_from_real
+from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset, graph_from_edges
 from lrgnn.trainer import (
     TrainConfig,
+    _batch_grad,
     evaluate,
     normalized_sum_rate,
     params_checksum,
@@ -35,8 +36,9 @@ def snap_params(arch, seed):
 class TestConfig:
     def test_bounds(self):
         arch = MpgnnArch(n_tx_antennas=2)
-        with pytest.raises(ValueError, match="lr"):
-            TrainConfig(arch=arch, lr=-0.1)
+        for lr in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="lr"):
+                TrainConfig(arch=arch, lr=lr)
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(arch=arch, batch_size=0)
         with pytest.raises(ValueError, match="epochs"):
@@ -206,7 +208,50 @@ class TestEvaluate:
             normalized_sum_rate((arch, params), (arch, params), zeroed)
 
 
-class TestCheckpointAndThreads:
+def sample_loss_and_grads(arch, arrays, sample, full_interference):
+    """Reference: one sample on its own tape, through the one-sample
+    objective wsr_from_real."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    q = forward_real(sample.graph, rebuild_params(arch, tensors), arch)
+    neg = -wsr_from_real(sample.scenario, q, sample.graph.edges, full_interference=full_interference)
+    neg.backward()
+    return float(neg.data), [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
+
+
+class TestUnionBatches:
+    @pytest.mark.parametrize("full_interference", [False, True])
+    @pytest.mark.parametrize("arch", [
+        MpgnnArch(n_tx_antennas=2),
+        MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=3, rank2=2),
+    ], ids=["dense", "low_rank"])
+    def test_union_gradients_equal_per_sample_sum(self, arch, full_interference):
+        # 21 samples: a full union of 16 and a partial one of 5. Pair
+        # counts and edge counts vary, and sample 0 has no edges at all.
+        batch = []
+        for k in range(21):
+            cfg = ScenarioConfig(n_pairs=3 + k % 3, n_tx_antennas=2,
+                                 edge_threshold=(300.0, 900.0, 1500.0)[k % 3], seed=30 + k)
+            batch += generate_dataset(cfg, 1)
+        s0 = batch[0].scenario
+        batch[0] = Sample(s0, graph_from_edges(s0, np.empty((0, 2), dtype=np.intp)))
+        assert len({s.graph.edges.shape[0] for s in batch}) > 3
+
+        arrays = init_params(arch, 3).flat()
+        loss, grads = _batch_grad(arch, arrays, batch, full_interference)
+
+        want_loss = 0.0
+        want = [np.zeros_like(a) for a in arrays]
+        for sample in batch:
+            l_s, g_s = sample_loss_and_grads(arch, arrays, sample, full_interference)
+            want_loss += l_s
+            for w, g in zip(want, g_s):
+                w += g
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for g, w in zip(grads, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+class TestCheckpoint:
     def test_checkpoint_round_trip_bit_identical(self, tmp_path):
         arch = MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=2, rank2=2)
         path = str(tmp_path / "ck.bin")
@@ -219,27 +264,6 @@ class TestCheckpointAndThreads:
             np.testing.assert_array_equal(a, b)
         assert params_checksum(loaded) == report.params_checksum
         assert evaluate(arch2, loaded, test) == evaluate(arch, final, test)
-
-    def test_thread_pool_is_bit_identical(self, monkeypatch):
-        arch = MpgnnArch(n_tx_antennas=2)
-        cfg = TrainConfig(arch=arch, epochs=2, batch_size=6, seed=5)
-        data, test = dataset(12, seed=21), dataset(4, seed=22)
-        monkeypatch.delenv("LRGNN_THREADS", raising=False)
-        _, serial = train(data, cfg, test)
-        monkeypatch.setenv("LRGNN_THREADS", "4")
-        _, pooled = train(data, cfg, test)
-        assert pooled.train_loss == serial.train_loss
-        assert pooled.params_checksum == serial.params_checksum
-
-    def test_deterministic_flag_ignores_thread_env(self, monkeypatch):
-        arch = MpgnnArch(n_tx_antennas=2)
-        data = dataset(6, seed=23)
-        monkeypatch.setenv("LRGNN_THREADS", "not-a-number")
-        cfg = TrainConfig(arch=arch, epochs=1, batch_size=6, seed=0, deterministic=True)
-        train(data, cfg)  # env ignored entirely when deterministic
-        cfg2 = TrainConfig(arch=arch, epochs=1, batch_size=6, seed=0)
-        with pytest.raises(ValueError, match="LRGNN_THREADS"):
-            train(data, cfg2)
 
 
 class TestReportCsv:

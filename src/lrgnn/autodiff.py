@@ -316,23 +316,6 @@ def tsum(x, axis=None, keepdims: bool = False):
     return np.sum(x, axis=axis, keepdims=keepdims)
 
 
-def minimum(a, b):
-    """Elementwise min; ties route the gradient to the first operand."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.minimum(a, b)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    out_data = np.minimum(a.data, b.data)
-
-    def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * (a.data <= b.data), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (b.data < a.data), b.data.shape))
-
-    return Tensor._make(out_data, (a, b), bw)
-
-
 def maximum(a, b):
     """Elementwise max; ties route the gradient to the first operand."""
     if not isinstance(a, Tensor) and not isinstance(b, Tensor):

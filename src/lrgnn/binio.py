@@ -12,7 +12,8 @@ class FormatError(RuntimeError):
 
 
 class ByteReader:
-    """Cursor over a byte buffer that fails loudly on truncation."""
+    """Cursor over a byte buffer that fails loudly on truncation and on
+    non-finite floats."""
 
     def __init__(self, buf: bytes, path, error_cls=FormatError):
         self.buf = buf
@@ -32,7 +33,10 @@ class ByteReader:
 
     def f32(self, count: int, what: str) -> np.ndarray:
         raw = self.take(4 * count, what)
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        if not np.all(np.isfinite(values)):
+            raise self.error_cls(f"{self.path}: non-finite value in {what}")
+        return values
 
     def done(self) -> None:
         if self.off != len(self.buf):

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import compression, trainer
 from .binio import FormatError
-from .mpgnn import MpgnnArch, count_model_params, forward, load_model
-from .objective import weighted_sum_rate
+from .mpgnn import MpgnnArch, count_model_params, load_model
 from .scenario import ScenarioConfig, generate_dataset, read_dataset, write_dataset
 
 
@@ -236,10 +235,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     arch, params = load_model(args.model)
     samples = read_dataset(args.data)
-    rates = []
-    for scenario, graph in samples:
-        q = forward(graph, params, arch)
-        rates.append(weighted_sum_rate(scenario, q, graph.edges))
+    rates = trainer.sample_rates(arch, params, samples)
     mean_rate = float(np.mean(rates))
 
     ref_mean = None
@@ -249,8 +245,7 @@ def cmd_eval(args) -> int:
             raise ValueError(
                 f"reference expects Nt={ref_arch.n_tx_antennas}, model has {arch.n_tx_antennas}"
             )
-        ref = [weighted_sum_rate(s, forward(g, ref_params, ref_arch), g.edges) for s, g in samples]
-        ref_mean = float(np.mean(ref))
+        ref_mean = trainer.evaluate(ref_arch, ref_params, samples)
         if ref_mean <= 0.0:
             raise ValueError(f"reference model has non-positive mean sum rate {ref_mean}")
 
@@ -260,7 +255,7 @@ def cmd_eval(args) -> int:
         w = csv.writer(f)
         w.writerow(["sample", "weighted_sum_rate"])
         for i, r in enumerate(rates):
-            w.writerow([i, repr(r)])
+            w.writerow([i, repr(float(r))])
         w.writerow(["mean", repr(mean_rate)])
         if ref_mean is not None:
             w.writerow(["reference_mean", repr(ref_mean)])

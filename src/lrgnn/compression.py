@@ -6,8 +6,9 @@ factorization of trained dense layers.
 
 Counting convention: size ratios and reduction fractions use bias-free
 counts (weight matrices and factors only); that is the convention the
-closed form encodes. Bias-inclusive counts are available from the same
-functions via include_bias.
+closed form encodes. Every layer carries a bias; bias-inclusive counts
+are available from the same functions via include_bias. The counts
+come from the layer shapes through mpgnn.param_counts.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .mpgnn import MpgnnParams, mlp_dims
-from .nn import DenseLinear, LowRankLinear, Mlp
+from .mpgnn import MpgnnParams, param_counts
+from .nn import DenseLinear
 
 # The rank grid used by the size-ratio analyses.
 TABLE_A1 = (4, 16, 32, 64)
@@ -29,33 +30,12 @@ TABLE_A2 = (4, 16, 32, 64, 128, 256, 512)
 _CONSISTENCY_TOL = 1e-12
 
 
-def _raw_mlps(nt: int, ranks: tuple | None) -> list[Mlp]:
-    """The four layers at a given antenna count, dense or factorized.
-
-    Built directly (no architecture object), so ranks beyond the
-    trainable caps are countable: an overcomplete factorization is a
-    legitimate object to measure, merely a useless one to train.
-    """
-    mlps = []
-    for dims, rank in zip(mlp_dims(nt), ranks or (None, None)):
-        layers = []
-        for d_in, d_out in zip(dims, dims[1:]):
-            if rank is None:
-                layers.append(DenseLinear(np.zeros((d_out, d_in)), np.zeros(d_out)))
-            else:
-                layers.append(
-                    LowRankLinear(np.zeros((d_in, rank)), np.zeros((rank, d_out)), np.zeros(d_out))
-                )
-        mlps.append(Mlp(layers))
-    return mlps
-
-
 def dense_param_count(nt: int, include_bias: bool = False) -> int:
-    return sum(m.param_count(include_bias) for m in _raw_mlps(nt, None))
+    return param_counts(nt, None, include_bias).total
 
 
 def lowrank_param_count(nt: int, a1: int, a2: int, include_bias: bool = False) -> int:
-    return sum(m.param_count(include_bias) for m in _raw_mlps(nt, (a1, a2)))
+    return param_counts(nt, (a1, a2), include_bias).total
 
 
 def reduction_fraction(nt: int, a1: int, a2: int) -> float:
@@ -89,7 +69,7 @@ class ReductionGrid:
 def size_ratio_table(nt: int, a1_values=TABLE_A1, a2_values=TABLE_A2) -> ReductionGrid:
     """Dense/low-rank parameter ratios over the rank grid.
 
-    Ratios come from counting instantiated layers; each cell is
+    Ratios come from counting the layer shapes; each cell is
     cross-validated against the closed form through p = 1 - 1/ratio and
     a disagreement beyond 1e-12 raises, so the two routes cannot drift
     apart silently.

@@ -39,7 +39,8 @@ _KINDS = ("dense", "low_rank")
 
 
 class ModelFormatError(FormatError):
-    """Raised when a model file is malformed (magic, version, truncation)."""
+    """Raised when a model file is malformed (magic, version, truncation,
+    non-finite floats)."""
 
 
 def mlp_dims(n_tx_antennas: int) -> tuple[list, list]:
@@ -155,26 +156,32 @@ class ParamCounts(NamedTuple):
     total: int
 
 
-def _zero_layers(arch: MpgnnArch) -> MpgnnParams:
-    def mk(dims, rank):
-        layers = []
-        for d_in, d_out in zip(dims, dims[1:]):
-            if arch.kind == "dense":
-                layers.append(DenseLinear(np.zeros((d_out, d_in)), np.zeros(d_out)))
-            else:
-                layers.append(LowRankLinear(np.zeros((d_in, rank)), np.zeros((rank, d_out)), np.zeros(d_out)))
-        return Mlp(layers)
+def param_counts(n_tx_antennas: int, ranks: tuple | None = None, include_bias: bool = True) -> ParamCounts:
+    """Parameter counts per MLP and total, from the shapes in mlp_dims
+    (MLPs shared across rounds, counted once).
 
-    return MpgnnParams(mk(arch.mlp1_dims, arch.rank1), mk(arch.mlp2_dims, arch.rank2))
+    ranks is None for dense layers, where a d_in -> d_out layer holds
+    d_out*d_in weights, or (rank1, rank2), where it holds
+    rank*(d_in + d_out) factor entries; include_bias adds d_out per
+    layer. Ranks are not capped as MpgnnArch caps them, so overcomplete
+    factorizations are countable: a legitimate object to measure,
+    merely a useless one to train.
+    """
+    counts = []
+    for dims, rank in zip(mlp_dims(n_tx_antennas), ranks or (None, None)):
+        n = 0
+        for d_in, d_out in zip(dims, dims[1:]):
+            n += d_out * d_in if rank is None else rank * (d_in + d_out)
+            if include_bias:
+                n += d_out
+        counts.append(n)
+    return ParamCounts(counts[0], counts[1], counts[0] + counts[1])
 
 
 def count_model_params(arch: MpgnnArch, include_bias: bool = True) -> ParamCounts:
-    """Parameter counts per MLP and total (MLPs shared across rounds,
-    counted once)."""
-    p = _zero_layers(arch)
-    c1 = p.mlp1.param_count(include_bias)
-    c2 = p.mlp2.param_count(include_bias)
-    return ParamCounts(c1, c2, c1 + c2)
+    """param_counts of an architecture."""
+    ranks = None if arch.kind == "dense" else (arch.rank1, arch.rank2)
+    return param_counts(arch.n_tx_antennas, ranks, include_bias)
 
 
 def layer_step(states: tuple, graph: Graph, params: MpgnnParams) -> tuple:

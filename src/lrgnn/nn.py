@@ -3,16 +3,18 @@
 Layers are thin containers around their parameter arrays and work
 unchanged whether those arrays are plain ndarrays (fast inference path)
 or autodiff Tensors (training path); the arithmetic is identical either
-way, so both paths produce bit-equal outputs.
+way, so both paths produce bit-equal outputs. Every layer carries a
+bias. Parameter counts come from the layer shapes alone
+(mpgnn.param_counts), not from layer objects.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, relu, sigmoid
+from .autodiff import Tensor, relu
 
-_OUTPUT_ACTIVATIONS = (None, "relu", "sigmoid")
+_OUTPUT_ACTIVATIONS = (None, "relu")
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -30,19 +32,19 @@ class DenseLinear:
 
     kind = "dense"
 
-    def __init__(self, weight, bias=None):
+    def __init__(self, weight, bias):
         w_shape = _dims_of(weight)
         if len(w_shape) != 2:
             raise ValueError(f"weight must be 2-D, got shape {w_shape}")
-        if bias is not None and _dims_of(bias) != (w_shape[0],):
+        if _dims_of(bias) != (w_shape[0],):
             raise ValueError(f"bias shape {_dims_of(bias)} does not match d_out {w_shape[0]}")
         self.weight = weight
         self.bias = bias
 
     @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True) -> "DenseLinear":
+    def init(cls, rng: np.random.Generator, d_in: int, d_out: int) -> "DenseLinear":
         w = glorot_uniform(rng, d_in, d_out, (d_out, d_in))
-        return cls(w, np.zeros(d_out) if bias else None)
+        return cls(w, np.zeros(d_out))
 
     @property
     def d_in(self) -> int:
@@ -53,17 +55,10 @@ class DenseLinear:
         return _dims_of(self.weight)[0]
 
     def params(self) -> list:
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
-
-    def param_count(self, include_bias: bool = True) -> int:
-        n = self.d_out * self.d_in
-        if include_bias and self.bias is not None:
-            n += self.d_out
-        return n
+        return [self.weight, self.bias]
 
     def __call__(self, x):
-        y = x @ self.weight.T
-        return y if self.bias is None else y + self.bias
+        return x @ self.weight.T + self.bias
 
 
 class LowRankLinear:
@@ -77,7 +72,7 @@ class LowRankLinear:
 
     kind = "low_rank"
 
-    def __init__(self, u, v, bias=None):
+    def __init__(self, u, v, bias):
         u_shape, v_shape = _dims_of(u), _dims_of(v)
         if len(u_shape) != 2 or len(v_shape) != 2:
             raise ValueError(f"factors must be 2-D, got {u_shape} and {v_shape}")
@@ -85,21 +80,19 @@ class LowRankLinear:
             raise ValueError(f"rank mismatch between factors: {u_shape} vs {v_shape}")
         if u_shape[1] < 1:
             raise ValueError("rank must be >= 1")
-        if bias is not None and _dims_of(bias) != (v_shape[1],):
+        if _dims_of(bias) != (v_shape[1],):
             raise ValueError(f"bias shape {_dims_of(bias)} does not match d_out {v_shape[1]}")
         self.u = u
         self.v = v
         self.bias = bias
 
     @classmethod
-    def init(
-        cls, rng: np.random.Generator, d_in: int, d_out: int, rank: int, bias: bool = True
-    ) -> "LowRankLinear":
+    def init(cls, rng: np.random.Generator, d_in: int, d_out: int, rank: int) -> "LowRankLinear":
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         u = glorot_uniform(rng, d_in, rank, (d_in, rank))
         v = glorot_uniform(rng, rank, d_out, (rank, d_out))
-        return cls(u, v, np.zeros(d_out) if bias else None)
+        return cls(u, v, np.zeros(d_out))
 
     @property
     def d_in(self) -> int:
@@ -119,24 +112,16 @@ class LowRankLinear:
         return (u @ v).T
 
     def params(self) -> list:
-        return [self.u, self.v] if self.bias is None else [self.u, self.v, self.bias]
-
-    def param_count(self, include_bias: bool = True) -> int:
-        n = self.rank * (self.d_in + self.d_out)
-        if include_bias and self.bias is not None:
-            n += self.d_out
-        return n
+        return [self.u, self.v, self.bias]
 
     def __call__(self, x):
-        y = (x @ self.u) @ self.v
-        return y if self.bias is None else y + self.bias
+        return (x @ self.u) @ self.v + self.bias
 
 
 class Mlp:
-    """Stack of same-kind linear layers, ReLU between them.
+    """Stack of same-kind linear layers with biases, ReLU between them.
 
-    output_activation: None, "relu", or "sigmoid", applied after the
-    last layer.
+    output_activation: None or "relu", applied after the last layer.
     """
 
     def __init__(self, layers: list, output_activation: str | None = None):
@@ -154,24 +139,19 @@ class Mlp:
         self.output_activation = output_activation
 
     @classmethod
-    def dense(cls, rng, dims: list, output_activation=None, bias: bool = True) -> "Mlp":
-        layers = [DenseLinear.init(rng, dims[i], dims[i + 1], bias) for i in range(len(dims) - 1)]
+    def dense(cls, rng, dims: list, output_activation=None) -> "Mlp":
+        layers = [DenseLinear.init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
         return cls(layers, output_activation)
 
     @classmethod
-    def low_rank(cls, rng, dims: list, ranks: list, output_activation=None, bias: bool = True) -> "Mlp":
+    def low_rank(cls, rng, dims: list, ranks: list, output_activation=None) -> "Mlp":
         if len(ranks) != len(dims) - 1:
             raise ValueError(f"need {len(dims) - 1} ranks, got {len(ranks)}")
-        layers = [
-            LowRankLinear.init(rng, dims[i], dims[i + 1], ranks[i], bias) for i in range(len(dims) - 1)
-        ]
+        layers = [LowRankLinear.init(rng, dims[i], dims[i + 1], ranks[i]) for i in range(len(dims) - 1)]
         return cls(layers, output_activation)
 
     def params(self) -> list:
         return [p for layer in self.layers for p in layer.params()]
-
-    def param_count(self, include_bias: bool = True) -> int:
-        return sum(l.param_count(include_bias) for l in self.layers)
 
     def __call__(self, x):
         for layer in self.layers[:-1]:
@@ -179,8 +159,6 @@ class Mlp:
         x = self.layers[-1](x)
         if self.output_activation == "relu":
             return relu(x)
-        if self.output_activation == "sigmoid":
-            return sigmoid(x)
         return x
 
 

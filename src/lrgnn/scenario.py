@@ -32,7 +32,8 @@ _WEIGHT_MODES = ("all_ones", "uniform01")
 
 class DatasetFormatError(FormatError):
     """Raised when a dataset file is malformed (magic, version, truncation,
-    edges that interference_edges could not have produced)."""
+    non-finite floats, noise powers <= 0, edges that interference_edges
+    could not have produced)."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("area_side", "d_min", "d_max", "edge_threshold", "antenna_gain_dbi",
+                     "shadow_sigma_db", "snr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_pairs < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
         if self.n_tx_antennas < 1:
@@ -71,8 +76,6 @@ class ScenarioConfig:
             raise ValueError("edge_threshold must be positive")
         if not math.isfinite(self.p_max) or self.p_max <= 0.0:
             raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         if self.shadow_sigma_db < 0.0:
             raise ValueError("shadow_sigma_db must be >= 0")
         if self.pathloss_log_base not in _LOG_BASES:
@@ -332,6 +335,8 @@ def read_dataset(path) -> list[Sample]:
         h = h_pairs[..., 0] + 1j * h_pairs[..., 1]
         w = r.f32(n, f"sample {k} weights")
         sigma2 = r.f32(n, f"sample {k} noise powers")
+        if np.any(sigma2 <= 0.0):
+            raise DatasetFormatError(f"{path}: sample {k} has a noise power <= 0")
         n_edges = r.u32(f"sample {k} edge count")
         if n_edges > n * n:
             raise DatasetFormatError(f"{path}: sample {k} claims {n_edges} edges")

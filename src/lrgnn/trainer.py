@@ -130,15 +130,23 @@ def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
     return loss, totals
 
 
-def evaluate(arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False) -> float:
-    """Mean weighted sum rate over a dataset; never mutates params."""
+def sample_rates(
+    arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False
+) -> np.ndarray:
+    """Weighted sum rate of each sample, in dataset order; never mutates
+    params."""
     if not samples:
         raise ValueError("empty dataset")
-    total = 0.0
-    for scenario, graph in samples:
-        q = forward(graph, params, arch)
-        total += weighted_sum_rate(scenario, q, graph.edges, full_interference=full_interference)
-    return total / len(samples)
+    return np.array([
+        weighted_sum_rate(scenario, forward(graph, params, arch), graph.edges,
+                          full_interference=full_interference)
+        for scenario, graph in samples
+    ])
+
+
+def evaluate(arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False) -> float:
+    """Mean weighted sum rate over a dataset; never mutates params."""
+    return float(np.mean(sample_rates(arch, params, samples, full_interference=full_interference)))
 
 
 def normalized_sum_rate(lr_model, dense_model, test_set, *, full_interference: bool = False) -> float:

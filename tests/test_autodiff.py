@@ -9,7 +9,6 @@ from lrgnn.autodiff import (
     gather_rows,
     log1p,
     maximum,
-    minimum,
     relu,
     scatter_max,
     scatter_sum,
@@ -136,7 +135,6 @@ class TestElementwiseGradients:
         x = self.rng.uniform(-2.0, 2.0, size=8)
         x += 0.1 * np.sign(x)  # stay off the tie point
         check_grad(lambda t: tsum(square(maximum(t, 0.5))), x)
-        check_grad(lambda t: tsum(square(minimum(t, 0.5))), x)
 
     def test_maximum_two_tensors(self):
         a = self.rng.normal(size=6)

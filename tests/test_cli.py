@@ -77,6 +77,20 @@ class TestGenData:
         assert "p_max" in capsys.readouterr().err
         assert not (tmp_path / "o" / "train.bin").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--edge-threshold", "nan"),
+        ("--area-side", "nan"),
+        ("--antenna-gain-dbi", "inf"),
+    ])
+    def test_non_finite_scenario_setting_is_one_line_error(self, tmp_path, capsys, flag, value):
+        rc = main(["gen-data", "--out", str(tmp_path / "o"), "--train", "2", "--test", "1",
+                   flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+        assert not (tmp_path / "o" / "train.bin").exists()
+
     def test_bad_sample_counts(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path), "--train", "0"])
         assert rc == 1
@@ -179,6 +193,21 @@ class TestEval:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "edge index" in err
+
+    def test_nan_in_dataset_is_one_line_error(self, data_dir, model_dir, tmp_path, capsys):
+        raw = bytearray((data_dir / "test.bin").read_bytes())
+        # Header 20 bytes, then sample 0's TX and RX xy (2 pairs: 2 * 16
+        # bytes), then its first channel float.
+        raw[52:56] = np.array([np.nan], dtype="<f4").tobytes()
+        bad = tmp_path / "test.bin"
+        bad.write_bytes(bytes(raw))
+        rc = main(["eval", "--model", str(model_dir / "model.bin"),
+                   "--data", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+        assert not (tmp_path / "o" / "eval.csv").exists()
 
     def test_missing_model_file(self, data_dir, tmp_path):
         rc = main([

@@ -273,6 +273,17 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(p)
 
+    def test_non_finite_weight(self, tmp_path):
+        arch = MpgnnArch(n_tx_antennas=2)
+        p = tmp_path / "m.bin"
+        save_model(p, arch, init_params(arch, 0))
+        raw = bytearray(p.read_bytes())
+        # 24-byte file header, 12-byte layer header, then layer 0's W.
+        raw[36:40] = np.array([np.inf], dtype="<f4").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match="non-finite value in layer 0 W"):
+            load_model(p)
+
     def test_layer_header_mismatch(self, tmp_path):
         arch = MpgnnArch(n_tx_antennas=2)
         p = tmp_path / "m.bin"

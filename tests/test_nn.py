@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrgnn.autodiff import Tensor
+from lrgnn.mpgnn import MpgnnArch, count_model_params, init_params
 from lrgnn.nn import Adam, DenseLinear, LowRankLinear, Mlp, glorot_uniform
 
 
@@ -27,16 +28,9 @@ class TestDenseLinear:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="2-D"):
-            DenseLinear(np.ones(3))
+            DenseLinear(np.ones(3), np.ones(3))
         with pytest.raises(ValueError, match="bias"):
             DenseLinear(np.ones((2, 3)), np.ones(3))
-
-    def test_param_count(self):
-        layer = DenseLinear(np.zeros((64, 3072)), np.zeros(64))
-        assert layer.param_count(include_bias=False) == 196608
-        assert layer.param_count(include_bias=True) == 196672
-        no_bias = DenseLinear(np.zeros((64, 3072)))
-        assert no_bias.param_count(include_bias=True) == 196608
 
 
 class TestLowRankLinear:
@@ -65,9 +59,11 @@ class TestLowRankLinear:
         with pytest.raises(ValueError, match="rank"):
             LowRankLinear.init(np.random.default_rng(0), 4, 4, rank=0)
         with pytest.raises(ValueError, match="rank"):
-            LowRankLinear(np.zeros((4, 0)), np.zeros((0, 4)))
+            LowRankLinear(np.zeros((4, 0)), np.zeros((0, 4)), np.zeros(4))
         with pytest.raises(ValueError, match="rank mismatch"):
-            LowRankLinear(np.zeros((4, 2)), np.zeros((3, 4)))
+            LowRankLinear(np.zeros((4, 2)), np.zeros((3, 4)), np.zeros(4))
+        with pytest.raises(ValueError, match="bias"):
+            LowRankLinear(np.zeros((4, 2)), np.zeros((2, 4)), np.zeros(3))
 
     def test_overcomplete_rank_is_allowed(self):
         # Ranks above min(d_in, d_out) cost parameters instead of saving
@@ -75,12 +71,7 @@ class TestLowRankLinear:
         # full rank grid).
         layer = LowRankLinear.init(np.random.default_rng(0), d_in=4, d_out=3, rank=10)
         assert layer.rank == 10
-        assert layer.param_count(include_bias=False) == 10 * 7
-
-    def test_param_count(self):
-        layer = LowRankLinear(np.zeros((3072, 4)), np.zeros((4, 64)), np.zeros(64))
-        assert layer.param_count(include_bias=False) == 4 * 3136
-        assert layer.param_count(include_bias=True) == 4 * 3136 + 64
+        assert layer.u.size + layer.v.size == 10 * 7
 
 
 class TestMlp:
@@ -115,29 +106,37 @@ class TestMlp:
         x = np.array([[-3.0]])
         assert Mlp([l], output_activation=None)(x)[0, 0] == -3.0
         assert Mlp([l], output_activation="relu")(x)[0, 0] == 0.0
-        assert Mlp([l], output_activation="sigmoid")(x)[0, 0] == pytest.approx(
-            1.0 / (1.0 + np.exp(3.0)))
-
-    def test_param_count_matches_stored_sizes(self):
-        # Brute-force enumeration of stored array sizes vs the formula,
-        # for an MLP [a, h, c] factorized at rank r on both layers.
-        rng = np.random.default_rng(2)
-        a, h, c, r = 10, 7, 5, 3
-        mlp = Mlp.low_rank(rng, [a, h, c], [r, r])
-        stored_weights = sum(l.u.size + l.v.size for l in mlp.layers)
-        stored_all = sum(sum(p.size for p in l.params()) for l in mlp.layers)
-        assert mlp.param_count(include_bias=False) == stored_weights == r * (a + h) + r * (h + c)
-        assert mlp.param_count(include_bias=True) == stored_all
+        assert Mlp([l], output_activation="relu")(-x)[0, 0] == 3.0
 
     def test_forward_accepts_tensor_params(self):
         rng = np.random.default_rng(3)
-        mlp = Mlp.dense(rng, [4, 3, 2], output_activation="sigmoid")
-        x = rng.normal(size=(5, 4))
-        plain = mlp(x)
-        taped_layers = [DenseLinear(Tensor(l.weight, requires_grad=True),
-                                    Tensor(l.bias, requires_grad=True)) for l in mlp.layers]
-        taped = Mlp(taped_layers, output_activation="sigmoid")(x)
-        np.testing.assert_array_equal(plain, taped.data)
+        for activation in ("relu", None):
+            mlp = Mlp.dense(rng, [4, 3, 2], output_activation=activation)
+            x = rng.normal(size=(5, 4))
+            plain = mlp(x)
+            taped_layers = [DenseLinear(Tensor(l.weight, requires_grad=True),
+                                        Tensor(l.bias, requires_grad=True)) for l in mlp.layers]
+            taped = Mlp(taped_layers, output_activation=activation)(x)
+            np.testing.assert_array_equal(plain, taped.data)
+
+
+class TestCounts:
+    def test_counts_match_init_param_sizes(self):
+        # Counts come from shapes alone; the arrays init_params allocates
+        # must have exactly those sizes, biases included or not.
+        for nt in (2, 8, 64):
+            for arch in (MpgnnArch(n_tx_antennas=nt),
+                         MpgnnArch(n_tx_antennas=nt, kind="low_rank", rank1=4, rank2=16)):
+                params = init_params(arch, 0)
+                for include_bias in (True, False):
+                    per_mlp = [
+                        sum(p.size for layer in mlp.layers for p in layer.params()
+                            if include_bias or p is not layer.bias)
+                        for mlp in (params.mlp1, params.mlp2)
+                    ]
+                    counts = count_model_params(arch, include_bias=include_bias)
+                    assert (counts.mlp1, counts.mlp2) == tuple(per_mlp)
+                    assert counts.total == sum(per_mlp)
 
 
 class TestInit:

@@ -7,7 +7,6 @@ from lrgnn.autodiff import Tensor
 from lrgnn.objective import (
     WsrTerms,
     baseline_beamformers,
-    loss,
     rate_report,
     sinr,
     weighted_sum_rate,
@@ -162,40 +161,37 @@ class TestRealRoute:
             wsr_from_real(ta, qa, a.graph.edges)
 
     def test_loss_single_sample_is_negative_wsr(self):
+        # The training loss is -wsr_from_real on taped beamformers.
         sample = random_sample(1)
         q = baseline_beamformers(sample.scenario, "mrt")
-        value = loss([sample], [Tensor(split_complex(q))])
+        value = -wsr_from_real(sample.scenario, Tensor(split_complex(q)), sample.graph.edges)
         ref = weighted_sum_rate(sample.scenario, q, sample.graph.edges)
         assert value.data == pytest.approx(-ref, rel=1e-12)
 
     def test_loss_duplicate_invariance(self):
+        # A union holding one sample twice has twice its loss, so the
+        # per-sample mean a batch reports is unchanged.
         sample = random_sample(2)
-        q = Tensor(split_complex(baseline_beamformers(sample.scenario, "random", seed=3)))
-        one = loss([sample], [q]).data
-        two = loss([sample, sample], [q, q]).data
-        assert two == pytest.approx(float(one), rel=1e-12)
-
-    def test_loss_batch_length_mismatch(self):
-        sample = random_sample(3)
-        q = Tensor(split_complex(baseline_beamformers(sample.scenario, "zero")))
-        with pytest.raises(ValueError, match="beamformers"):
-            loss([sample], [q, q])
-
-    def test_loss_empty_batch(self):
-        with pytest.raises(ValueError, match="empty"):
-            loss([], [])
+        q = split_complex(baseline_beamformers(sample.scenario, "random", seed=3))
+        t = wsr_terms(sample.scenario, sample.graph.edges)
+        shifted = t._replace(pairs=t.pairs + sample.scenario.n_pairs)
+        twice = WsrTerms(*(np.concatenate(p) for p in zip(t, shifted)))
+        one = -wsr_from_real(t, Tensor(q)).data
+        two = -wsr_from_real(twice, Tensor(np.concatenate([q, q]))).data
+        assert two / 2 == pytest.approx(float(one), rel=1e-12)
 
     def test_loss_gradient_matches_finite_differences(self):
         sample = random_sample(4, n=3, nt=2)
         rng = np.random.default_rng(40)
         q0 = rng.normal(size=(3, 4)) * 0.4
 
+        # The training loss is the negative weighted sum rate.
         t = Tensor(q0.copy(), requires_grad=True)
-        out = loss([sample], [t])
+        out = -wsr_from_real(sample.scenario, t, sample.graph.edges)
         out.backward()
 
         def f(x):
-            return float(loss([sample], [np.asarray(x)]))
+            return -float(wsr_from_real(sample.scenario, np.asarray(x), sample.graph.edges))
 
         eps = 1e-6
         for idx in np.ndindex(q0.shape):

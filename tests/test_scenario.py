@@ -1,5 +1,6 @@
 """Network generation, graph construction, and dataset file checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,15 @@ class TestConfigValidation:
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, edge_threshold=-1.0)
         with pytest.raises(ValueError, match="shadow_sigma_db"):
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, shadow_sigma_db=-0.1)
+
+    def test_rejects_non_finite_settings(self):
+        # NaN passes every comparison check, and an infinite area or gain
+        # overflows the generator or the channels.
+        for name in ("area_side", "d_min", "d_max", "edge_threshold", "antenna_gain_dbi",
+                     "shadow_sigma_db"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    ScenarioConfig(n_pairs=2, n_tx_antennas=2, **{name: bad})
 
 
 class TestPathloss:
@@ -298,6 +308,27 @@ class TestDatasetFiles:
         p = tmp_path / "e.bin"
         write_dataset([good[0], Sample(s, graph)], p)
         with pytest.raises(DatasetFormatError, match=f"sample 1 .*{problem}"):
+            read_dataset(p)
+
+    def test_non_finite_float_reported(self, tmp_path):
+        p = tmp_path / "f.bin"
+        write_dataset(generate_dataset(small_cfg(n_pairs=3), 2), p)
+        raw = bytearray(p.read_bytes())
+        # Header 20 bytes, then sample 0: TX and RX xy (2 * 24 bytes),
+        # then the channels.
+        raw[68:72] = np.array([np.nan], dtype="<f4").tobytes()
+        p.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="non-finite value in sample 0 channels"):
+            read_dataset(p)
+
+    @pytest.mark.parametrize("noise", [0.0, -1.0])
+    def test_nonpositive_noise_reported(self, tmp_path, noise):
+        good = generate_dataset(small_cfg(n_pairs=3), 2)
+        s, g = good[1]
+        bad = Sample(dataclasses.replace(s, noise_powers=np.array([0.1, noise, 0.1])), g)
+        p = tmp_path / "n.bin"
+        write_dataset([good[0], bad], p)
+        with pytest.raises(DatasetFormatError, match="sample 1 has a noise power <= 0"):
             read_dataset(p)
 
     def test_graph_rebuilt_from_stored_edges(self, tmp_path):

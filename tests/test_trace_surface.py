@@ -1,0 +1,51 @@
+"""The names the benchmark's tracer wraps must exist in lrgnn.
+
+perfbench/spans.py wraps lrgnn functions and methods by name and tells
+MLP1 from MLP2 by `Mlp.output_activation`. Renaming or deleting one of
+them would otherwise break only the benchmark's traced run.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lrgnn
+from lrgnn.mpgnn import MpgnnArch, init_params
+from lrgnn.scenario import ScenarioConfig, build_graph, generate_scenario
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    t = spans.Tracer("surface-test")
+    t.install()
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def test_tracer_records_the_mlp_spans(tracer):
+    cfg = ScenarioConfig(n_pairs=3, n_tx_antennas=2, edge_threshold=1500.0, seed=3)
+    scenario = generate_scenario(cfg)
+    graph = build_graph(scenario, cfg)
+    assert graph.edges.shape[0] > 0  # MLP1 runs only on edges
+    arch = MpgnnArch(n_tx_antennas=2)
+    params = init_params(arch, 0)
+
+    # Through the package binding, as the benchmark calls it: the tracer
+    # patches bindings inside lrgnn, not this module's imports.
+    lrgnn.forward(graph, params, arch)
+    params.mlp2(np.zeros((1, arch.mlp2_dims[0])))
+
+    names = [s[2] for s in tracer.spans]
+    for name in ("mpgnn.forward", "mpgnn.forward_real", "mpgnn.layer_step", "nn.mlp1", "nn.mlp2"):
+        assert name in names
+    # The direct MLP2 call is a top-level span of its own.
+    assert tracer.spans[-1][1] is None and tracer.spans[-1][2] == "nn.mlp2"
+

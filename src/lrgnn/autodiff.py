@@ -34,19 +34,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
+    # np.minimum(np.maximum(.)) is np.clip without its Python wrapper,
+    # which costs more than the arithmetic on the small arrays of a
+    # message-passing round.
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
 def _consumed(g) -> None:
     raise RuntimeError("backward() through a tape that an earlier backward() already consumed")
 
 
-def _group(keys: np.ndarray) -> tuple:
+def group_keys(keys: np.ndarray) -> tuple:
     """Stable sort of 1-D integer keys into runs of equal keys.
 
     Returns (order, starts, run_keys): keys[order] is sorted with ties in
     list order, runs begin at positions `starts` of the sorted array, and
-    run_keys holds each run's key.
+    run_keys holds each run's key. scatter_max accepts the result, so a
+    caller that reduces over the same keys repeatedly groups them once.
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
@@ -274,7 +278,7 @@ class Tensor:
     # -- reductions and structure ----------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = np.sum(self.data, axis=axis, keepdims=keepdims)
+        out_data = np.add.reduce(self.data, axis=axis, keepdims=keepdims)
 
         def bw(g):
             if axis is not None and not keepdims:
@@ -311,9 +315,10 @@ def square(x):
 
 
 def tsum(x, axis=None, keepdims: bool = False):
+    # np.add.reduce is np.sum without its Python wrapper; same kernel.
     if isinstance(x, Tensor):
         return x.sum(axis=axis, keepdims=keepdims)
-    return np.sum(x, axis=axis, keepdims=keepdims)
+    return np.add.reduce(x, axis=axis, keepdims=keepdims)
 
 
 def maximum(a, b):
@@ -335,7 +340,7 @@ def maximum(a, b):
 
 def concat(parts, axis: int = 1):
     """Concatenate along `axis`; parts may mix Tensor and ndarray."""
-    if not any(isinstance(p, Tensor) for p in parts):
+    if Tensor not in map(type, parts):
         return np.concatenate(parts, axis=axis)
     tensors = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -362,27 +367,28 @@ def gather_rows(x, idx: np.ndarray):
     def bw(g):
         gx = np.zeros_like(x.data)
         if idx.size:
-            order, starts, rows = _group(idx)
+            order, starts, rows = group_keys(idx)
             gx[rows] = np.add.reduceat(g[order], starts, axis=0)
         x._accumulate(gx)
 
     return Tensor._make(out_data, (x,), bw)
 
 
-def scatter_max(messages, targets: np.ndarray, n_rows: int):
+def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None = None):
     """Per-row elementwise max of `messages` grouped by `targets`.
 
     Rows of the output with no contributing message are zero. The
     gradient is routed to exactly one contributor per coordinate: the
     first maximal message in list order, so callers control tie-breaking
-    by how they order the message rows.
+    by how they order the message rows. groups, if given, must be
+    group_keys(targets).
     """
     targets = np.asarray(targets, dtype=np.intp)
     is_tensor = isinstance(messages, Tensor)
     msg_data = messages.data if is_tensor else messages
     out_data = np.zeros((n_rows, msg_data.shape[1]), dtype=np.float64)
     if targets.size:
-        order, starts, rows = _group(targets)
+        order, starts, rows = group_keys(targets) if groups is None else groups
         sorted_msg = msg_data[order]
         out_data[rows] = np.maximum.reduceat(sorted_msg, starts, axis=0)
     if not is_tensor:

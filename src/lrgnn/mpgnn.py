@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import concat, gather_rows, maximum, scatter_max, sigmoid, sqrt, square, tsum, value
+from .autodiff import concat, gather_rows, group_keys, maximum, scatter_max, sigmoid, sqrt, square, tsum, value
 from .binio import ByteReader, FormatError
 from .nn import DenseLinear, LowRankLinear, Mlp
 from .scenario import Graph, merge_complex
@@ -184,24 +184,25 @@ def count_model_params(arch: MpgnnArch, include_bias: bool = True) -> ParamCount
     return param_counts(arch.n_tx_antennas, ranks, include_bias)
 
 
-def layer_step(states: tuple, graph: Graph, params: MpgnnParams) -> tuple:
+def layer_step(states: tuple, graph: Graph, params: MpgnnParams, groups: tuple | None = None) -> tuple:
     """One message-passing round.
 
     states is (fixed, hidden). For each vertex n: messages
     MLP1([x_j ; e_jn]) over in-neighbors j, elementwise-max aggregated
     (zero vector if there are none), then hidden_n := sigmoid(
     MLP2([x_n ; aggregate])). The fixed half passes through unchanged.
+    groups, if given, is group_keys of the edge targets, shared by the
+    rounds of one forward pass.
     """
     fixed, hidden = states
     n = graph.n_vertices
-    msg_dim = params.mlp1.layers[-1].d_out
     if graph.edges.shape[0]:
         src = graph.edges[:, 0]
         dst = graph.edges[:, 1]
         inputs = concat([gather_rows(fixed, src), gather_rows(hidden, src), graph.edge_features])
-        agg = scatter_max(params.mlp1(inputs), dst, n)
+        agg = scatter_max(params.mlp1(inputs), dst, n, groups)
     else:
-        agg = np.zeros((n, msg_dim))
+        agg = np.zeros((n, params.mlp1.layers[-1].d_out))
     y = params.mlp2(concat([fixed, hidden, agg]))
     return fixed, sigmoid(y)
 
@@ -215,8 +216,9 @@ def forward_real(graph: Graph, params: MpgnnParams, arch: MpgnnArch):
         raise ValueError(f"graph carries Nt={graph.n_tx_antennas}, model expects {nt}")
     fixed = graph.vertex_features[:, : 2 * nt]
     states = (fixed, np.zeros((graph.n_vertices, 2 * nt)))
+    groups = group_keys(np.asarray(graph.edges[:, 1], dtype=np.intp)) if graph.edges.shape[0] else None
     for _ in range(arch.n_rounds):
-        states = layer_step(states, graph, params)
+        states = layer_step(states, graph, params, groups)
     v = 2.0 * states[1] - 1.0
     root_p = float(np.sqrt(arch.p_max))
     norm = sqrt(tsum(square(v), axis=1, keepdims=True))

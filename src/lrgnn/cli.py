@@ -161,10 +161,10 @@ def _scenario_config(resolved: dict) -> ScenarioConfig:
     )
 
 
-def _parse_ranks(raw: str):
-    """'dense' or 'a1,a2' with both ranks >= 1."""
+def _parse_ranks(raw: str) -> tuple:
+    """(kind, rank1, rank2) of 'dense' or 'a1,a2'; MpgnnArch checks the ranks."""
     if raw == "dense":
-        return None
+        return "dense", None, None
     parts = raw.split(",")
     if len(parts) != 2:
         raise UsageError(f"--ranks takes 'dense' or 'a1,a2', got {raw!r}")
@@ -172,7 +172,7 @@ def _parse_ranks(raw: str):
         a1, a2 = int(parts[0]), int(parts[1])
     except ValueError:
         raise UsageError(f"--ranks takes 'dense' or 'a1,a2', got {raw!r}") from None
-    return a1, a2
+    return "low_rank", a1, a2
 
 
 def cmd_gen_data(args) -> int:
@@ -200,12 +200,8 @@ def cmd_train(args) -> int:
     test_set = read_dataset(test_path) if os.path.exists(test_path) else None
     nt = train_set[0].scenario.n_tx_antennas
 
-    ranks = _parse_ranks(resolved["ranks"])
-    if ranks is None:
-        arch = MpgnnArch(n_tx_antennas=nt, kind="dense", p_max=resolved["p_max"])
-    else:
-        arch = MpgnnArch(n_tx_antennas=nt, kind="low_rank", rank1=ranks[0], rank2=ranks[1],
-                         p_max=resolved["p_max"])
+    kind, rank1, rank2 = _parse_ranks(resolved["ranks"])
+    arch = MpgnnArch(n_tx_antennas=nt, kind=kind, rank1=rank1, rank2=rank2, p_max=resolved["p_max"])
 
     os.makedirs(args.out, exist_ok=True)
     cfg = trainer.TrainConfig(

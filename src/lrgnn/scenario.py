@@ -84,6 +84,22 @@ class ScenarioConfig:
             raise ValueError(f"weights_mode must be one of {_WEIGHT_MODES}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        # Finite settings can still derive unusable linear values: the
+        # antenna gain scales every channel, and dataset files store
+        # noise powers and positions as f32.
+        with np.errstate(all="ignore"):
+            derived = (
+                (f"antenna_gain_dbi={self.antenna_gain_dbi}", "linear antenna gain",
+                 np.power(10.0, self.antenna_gain_dbi / 10.0)),
+                (f"p_max={self.p_max}, snr_db={self.snr_db}", "noise power",
+                 np.float32(self.p_max / np.power(10.0, self.snr_db / 10.0))),
+                (f"area_side={self.area_side}, d_max={self.d_max}", "largest position coordinate",
+                 np.float32(self.area_side + self.d_max)),
+            )
+        for settings, what, v in derived:
+            if not 0.0 < v < np.inf:
+                raise ValueError(f"{settings}: the derived {what} is {float(v)}, "
+                                 f"which must be finite and positive")
 
 
 @dataclass

@@ -1,14 +1,20 @@
 """Training and evaluation loops for the beamforming GNN.
 
+Both loops run on disjoint-union graphs of up to 16 samples: sample
+k's vertex indices are offset by the vertex count of the samples
+before it (as in PyTorch Geometric's mini-batching), so one forward
+pass covers the whole union.
+
 Training minimizes the negative mean weighted sum rate with Adam over
-seeded shuffled mini-batches. A mini-batch is split into unions of up
-to 16 samples. Each union is one disjoint-union graph: sample k's
-vertex indices are offset by the vertex count of the samples before it
-(as in PyTorch Geometric's mini-batching), so one forward pass and one
-autodiff tape cover the whole union and its loss is the sum of the
+seeded shuffled mini-batches. Each mini-batch is split into unions;
+one autodiff tape covers a union and its loss is the sum of the
 samples' losses. Union gradients are added into running totals in
 union order and divided by the batch size, so a given seed always
 gives bit-identical results.
+
+Evaluation scores a dataset in unions too, with one plain forward pass
+(no tape) per union; each sample's beamformer rows are sliced back out
+and scored on their own.
 """
 
 from __future__ import annotations
@@ -21,11 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
-from .mpgnn import MpgnnArch, MpgnnParams, forward, forward_real, init_params, rebuild_params, save_model
+from .autodiff import Tensor, value
+from .mpgnn import MpgnnArch, MpgnnParams, forward_real, init_params, rebuild_params, save_model
 from .nn import Adam
 from .objective import WsrTerms, weighted_sum_rate, wsr_from_real, wsr_terms
-from .scenario import Graph
+from .scenario import Graph, merge_complex
 
 _SELECT_MODES = ("test", "train")
 
@@ -92,23 +98,21 @@ def _snap_f32(arrays: list) -> list:
     return [a.astype(np.float32).astype(np.float64) for a in arrays]
 
 
-def _union(samples, full_interference: bool) -> tuple[Graph, WsrTerms]:
-    """One disjoint-union Graph of the samples and its WsrTerms.
+def _union(samples) -> tuple[Graph, np.ndarray]:
+    """One disjoint-union Graph of the samples, and the vertex offset of
+    each sample in it followed by the total vertex count.
 
-    The edges and interference pairs of each sample are offset by the
-    vertex count of the samples before it.
+    The edges of each sample are offset by the vertex count of the
+    samples before it.
     """
-    vertex_features, edges, edge_features, terms = [], [], [], []
-    offset = 0
-    for scenario, graph in samples:
-        t = wsr_terms(scenario, graph.edges, full_interference=full_interference)
-        vertex_features.append(graph.vertex_features)
-        edges.append(graph.edges + offset)
-        edge_features.append(graph.edge_features)
-        terms.append(t._replace(pairs=t.pairs + offset))
-        offset += graph.n_vertices
-    union = Graph(np.concatenate(vertex_features), np.concatenate(edges), np.concatenate(edge_features))
-    return union, WsrTerms(*(np.concatenate(parts) for parts in zip(*terms)))
+    graphs = [graph for _, graph in samples]
+    offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
+    union = Graph(
+        np.concatenate([g.vertex_features for g in graphs]),
+        np.concatenate([g.edges + offset for g, offset in zip(graphs, offsets)]),
+        np.concatenate([g.edge_features for g in graphs]),
+    )
+    return union, offsets
 
 
 def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
@@ -118,7 +122,13 @@ def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
     loss = 0.0
     totals = [np.zeros_like(a) for a in arrays]
     for lo in range(0, len(batch), _UNION_SIZE):
-        graph, terms = _union(batch[lo : lo + _UNION_SIZE], full_interference)
+        chunk = batch[lo : lo + _UNION_SIZE]
+        graph, offsets = _union(chunk)
+        parts = []
+        for (scenario, g), offset in zip(chunk, offsets):
+            t = wsr_terms(scenario, g.edges, full_interference=full_interference)
+            parts.append(t._replace(pairs=t.pairs + offset))
+        terms = WsrTerms(*(np.concatenate(p) for p in zip(*parts)))
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         q = forward_real(graph, rebuild_params(arch, tensors), arch)
         neg = -wsr_from_real(terms, q)
@@ -134,14 +144,26 @@ def sample_rates(
     arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False
 ) -> np.ndarray:
     """Weighted sum rate of each sample, in dataset order; never mutates
-    params."""
+    params.
+
+    One plain forward pass (no tape) covers each union of up to
+    _UNION_SIZE samples; each sample's rows of the union's beamformers
+    are then scored on their own with weighted_sum_rate. A union of one sample
+    gives the same bits as forward on that sample; larger unions agree
+    with it to floating-point rounding.
+    """
     if not samples:
         raise ValueError("empty dataset")
-    return np.array([
-        weighted_sum_rate(scenario, forward(graph, params, arch), graph.edges,
-                          full_interference=full_interference)
-        for scenario, graph in samples
-    ])
+    rates = []
+    for lo in range(0, len(samples), _UNION_SIZE):
+        chunk = samples[lo : lo + _UNION_SIZE]
+        graph, offsets = _union(chunk)
+        q = merge_complex(value(forward_real(graph, params, arch)))
+        rates += [
+            weighted_sum_rate(scenario, q[start:end], g.edges, full_interference=full_interference)
+            for (scenario, g), start, end in zip(chunk, offsets, offsets[1:])
+        ]
+    return np.array(rates)
 
 
 def evaluate(arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False) -> float:

@@ -11,6 +11,7 @@ import pytest
 from lrgnn.cli import main
 from lrgnn.mpgnn import load_model
 from lrgnn.scenario import read_dataset
+from lrgnn.trainer import sample_rates
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,21 @@ class TestGenData:
         assert "must be finite" in err
         assert not (tmp_path / "o" / "train.bin").exists()
 
+    @pytest.mark.parametrize("flag, value, derived", [
+        ("--antenna-gain-dbi", "4000", "linear antenna gain is inf"),
+        ("--snr-db", "4000", "noise power is 0.0"),
+        ("--snr-db", "-4000", "noise power is inf"),
+        ("--area-side", "1e308", "largest position coordinate is inf"),
+    ])
+    def test_unusable_derived_value_is_one_line_error(self, tmp_path, capsys, flag, value, derived):
+        rc = main(["gen-data", "--out", str(tmp_path / "o"), "--train", "2", "--test", "1",
+                   flag, value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert derived in err and "must be finite and positive" in err
+        assert not (tmp_path / "o" / "train.bin").exists()
+
     def test_bad_sample_counts(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path), "--train", "0"])
         assert rc == 1
@@ -161,6 +177,24 @@ class TestEval:
         assert float(rows[4][1]) == pytest.approx(mean, rel=1e-15)
         assert main(argv) == 0
         assert (tmp_path / "eval.csv").read_bytes() == first
+
+    def test_rows_equal_sample_rates_beyond_one_union(self, model_dir, tmp_path):
+        # 20 samples: more than the 16 scored in one union.
+        gen = tmp_path / "d20"
+        assert main(["gen-data", "--out", str(gen), "--pairs", "2", "--antennas", "2",
+                     "--train", "1", "--test", "20", "--edge-threshold", "1500"]) == 0
+        model = str(model_dir / "model.bin")
+        argv = ["eval", "--model", model, "--data", str(gen / "test.bin"),
+                "--out", str(tmp_path / "e")]
+        assert main(argv) == 0
+        first = (tmp_path / "e" / "eval.csv").read_bytes()
+        with open(tmp_path / "e" / "eval.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        want = sample_rates(*load_model(model), read_dataset(gen / "test.bin"))
+        assert [r[0] for r in rows[:-1]] == [str(i) for i in range(20)]
+        assert [float(r[1]) for r in rows[:-1]] == want.tolist()
+        assert main(argv) == 0
+        assert (tmp_path / "e" / "eval.csv").read_bytes() == first
 
     def test_nt_mismatch_against_reference(self, data_dir, model_dir, tmp_path, capsys):
         gen = tmp_path / "d4"

@@ -16,6 +16,7 @@ from lrgnn.trainer import (
     evaluate,
     normalized_sum_rate,
     params_checksum,
+    sample_rates,
     train,
     write_train_report,
 )
@@ -24,6 +25,21 @@ from lrgnn.trainer import (
 def dataset(n_samples, seed=0, n=3, nt=2):
     cfg = ScenarioConfig(n_pairs=n, n_tx_antennas=nt, edge_threshold=1500.0, seed=seed)
     return generate_dataset(cfg, n_samples)
+
+
+def mixed_samples(count, edgeless):
+    """count samples with 3-5 pairs at three edge thresholds, so pair and
+    edge counts vary; the samples at the `edgeless` indices get no edges."""
+    samples = []
+    for k in range(count):
+        cfg = ScenarioConfig(n_pairs=3 + k % 3, n_tx_antennas=2,
+                             edge_threshold=(300.0, 900.0, 1500.0)[k % 3], seed=30 + k)
+        samples += generate_dataset(cfg, 1)
+    for k in edgeless:
+        s = samples[k].scenario
+        samples[k] = Sample(s, graph_from_edges(s, np.empty((0, 2), dtype=np.intp)))
+    assert len({s.graph.edges.shape[0] for s in samples}) > 3
+    return samples
 
 
 def snap_params(arch, seed):
@@ -227,14 +243,7 @@ class TestUnionBatches:
     def test_union_gradients_equal_per_sample_sum(self, arch, full_interference):
         # 21 samples: a full union of 16 and a partial one of 5. Pair
         # counts and edge counts vary, and sample 0 has no edges at all.
-        batch = []
-        for k in range(21):
-            cfg = ScenarioConfig(n_pairs=3 + k % 3, n_tx_antennas=2,
-                                 edge_threshold=(300.0, 900.0, 1500.0)[k % 3], seed=30 + k)
-            batch += generate_dataset(cfg, 1)
-        s0 = batch[0].scenario
-        batch[0] = Sample(s0, graph_from_edges(s0, np.empty((0, 2), dtype=np.intp)))
-        assert len({s.graph.edges.shape[0] for s in batch}) > 3
+        batch = mixed_samples(21, edgeless=(0,))
 
         arrays = init_params(arch, 3).flat()
         loss, grads = _batch_grad(arch, arrays, batch, full_interference)
@@ -249,6 +258,32 @@ class TestUnionBatches:
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         for g, w in zip(grads, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+class TestUnionScoring:
+    @pytest.mark.parametrize("full_interference", [False, True])
+    @pytest.mark.parametrize("arch", [
+        MpgnnArch(n_tx_antennas=2),
+        MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=3, rank2=2),
+    ], ids=["dense", "low_rank"])
+    def test_sample_rates_equal_per_sample_loop(self, arch, full_interference):
+        # 37 samples: two full unions of 16 and a partial one of 5. Pair
+        # and edge counts vary; samples 0 and 20 (inside the second
+        # union, at a nonzero vertex offset) have no edges.
+        samples = mixed_samples(37, edgeless=(0, 20))
+        params = init_params(arch, 5)
+        before = params_checksum(params)
+
+        got = sample_rates(arch, params, samples, full_interference=full_interference)
+
+        want = np.array([
+            weighted_sum_rate(s.scenario, forward(s.graph, params, arch), s.graph.edges,
+                              full_interference=full_interference)
+            for s in samples
+        ])
+        assert got.shape == want.shape == (37,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert params_checksum(params) == before
 
 
 class TestCheckpoint:

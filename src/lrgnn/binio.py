@@ -33,7 +33,8 @@ class ByteReader:
 
     def f32(self, count: int, what: str) -> np.ndarray:
         raw = self.take(4 * count, what)
-        values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        with np.errstate(invalid="ignore"):  # a signaling NaN warns on the cast
+            values = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         if not np.all(np.isfinite(values)):
             raise self.error_cls(f"{self.path}: non-finite value in {what}")
         return values

@@ -30,7 +30,7 @@ from .nn import DenseLinear, LowRankLinear, Mlp
 from .scenario import Graph, merge_complex
 
 MODEL_MAGIC = b"LRGM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 MSG_DIM = 64
 MLP2_HIDDEN = 512
@@ -40,7 +40,7 @@ _KINDS = ("dense", "low_rank")
 
 class ModelFormatError(FormatError):
     """Raised when a model file is malformed (magic, version, truncation,
-    non-finite floats)."""
+    non-finite floats, an architecture header MpgnnArch rejects)."""
 
 
 def mlp_dims(n_tx_antennas: int) -> tuple[list, list]:
@@ -71,8 +71,11 @@ class MpgnnArch:
             raise ValueError(f"n_tx_antennas must be >= 1, got {self.n_tx_antennas}")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if self.n_rounds < 1:
-            raise ValueError("n_rounds must be >= 1")
+        # Past a few dozen rounds the sigmoid states only saturate; the
+        # cap keeps a corrupt model file from making a forward pass run
+        # for hours.
+        if not 1 <= self.n_rounds <= 255:
+            raise ValueError(f"n_rounds must be in [1, 255], got {self.n_rounds}")
         if not math.isfinite(self.p_max) or self.p_max <= 0.0:
             raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
         if self.kind == "dense":
@@ -234,10 +237,11 @@ def forward(graph: Graph, params: MpgnnParams, arch: MpgnnArch) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model files: little-endian, magic "LRGM". Header: version u32, flags u32
-# (bit0 set for low-rank), Nt u32, rank1 u32, rank2 u32 (0 when dense). Then
-# the four layers in flat() order, each as d_in u32, d_out u32, r u32 (0 when
-# dense) followed by f32 arrays: dense W row-major then b; low-rank U, V, b.
-# The power budget and round count are not stored; loads use the defaults.
+# (bit0 set for low-rank), Nt u32, rank1 u32, rank2 u32 (0 when dense), p_max
+# f64, n_rounds u32. Then the four layers in flat() order, each as d_in u32,
+# d_out u32, r u32 (0 when dense) followed by f32 arrays: dense W row-major
+# then b; low-rank U, V, b. Version 1 files lack p_max and n_rounds; they
+# load with MpgnnArch's defaults.
 # ---------------------------------------------------------------------------
 
 
@@ -255,6 +259,7 @@ def save_model(path, arch: MpgnnArch, params: MpgnnParams) -> None:
                 arch.rank2 if low_rank else 0,
             )
         )
+        f.write(struct.pack("<dI", arch.p_max, arch.n_rounds))
         for layer in params.mlp1.layers + params.mlp2.layers:
             rank = layer.rank if low_rank else 0
             f.write(struct.pack("<III", layer.d_in, layer.d_out, rank))
@@ -270,12 +275,16 @@ def load_model(path) -> tuple[MpgnnArch, MpgnnParams]:
     if magic != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
     version = r.u32("version")
-    if version != MODEL_VERSION:
+    if version not in (1, MODEL_VERSION):
         raise ModelFormatError(f"{path}: unsupported version {version}")
     flags = r.u32("flags")
     nt = r.u32("antenna count")
     a1 = r.u32("rank1")
     a2 = r.u32("rank2")
+    stored = {}
+    if version == MODEL_VERSION:
+        stored["p_max"] = struct.unpack("<d", r.take(8, "p_max"))[0]
+        stored["n_rounds"] = r.u32("round count")
     low_rank = bool(flags & 1)
     try:
         arch = MpgnnArch(
@@ -283,6 +292,7 @@ def load_model(path) -> tuple[MpgnnArch, MpgnnParams]:
             kind="low_rank" if low_rank else "dense",
             rank1=a1 if low_rank else None,
             rank2=a2 if low_rank else None,
+            **stored,
         )
     except ValueError as e:
         raise ModelFormatError(f"{path}: invalid architecture header: {e}") from e

@@ -203,29 +203,38 @@ def generate_scenario(cfg: ScenarioConfig, seed: int | None = None) -> Scenario:
     d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
     gain = 10.0 ** (-pathloss_db(d, cfg.pathloss_log_base) / 20.0)
     psi = 10.0 ** (cfg.antenna_gain_dbi / 10.0)
-    if cfg.shadow_sigma_db > 0.0:
-        rho = 10.0 ** (rg.normal(0.0, cfg.shadow_sigma_db, size=(n, n)) / 10.0)
-    else:
-        rho = np.ones((n, n))
-    g = (rg.standard_normal((n, n, nt)) + 1j * rg.standard_normal((n, n, nt))) / np.sqrt(2.0)
-    h = (gain * np.sqrt(psi * rho))[:, :, None] * g
+    # Extreme gains or shadowing can over- or underflow the channels or
+    # their normalization; that is checked once on the result below.
+    with np.errstate(all="ignore"):
+        if cfg.shadow_sigma_db > 0.0:
+            rho = 10.0 ** (rg.normal(0.0, cfg.shadow_sigma_db, size=(n, n)) / 10.0)
+        else:
+            rho = np.ones((n, n))
+        g = (rg.standard_normal((n, n, nt)) + 1j * rg.standard_normal((n, n, nt))) / np.sqrt(2.0)
+        h = (gain * np.sqrt(psi * rho))[:, :, None] * g
+
+        # Normalize so the mean desired-link power is 1; noise follows
+        # from the configured SNR in these units. SINR is unchanged.
+        desired = h[np.arange(n), np.arange(n), :]
+        alpha = 1.0 / np.sqrt(np.mean(np.sum(np.abs(desired) ** 2, axis=1)))
+        h = alpha * h
+        channels = _snap_f32(h.real) + 1j * _snap_f32(h.imag)
+        if not np.isfinite(channels).all():
+            raise ValueError(
+                f"antenna_gain_dbi={cfg.antenna_gain_dbi}, shadow_sigma_db={cfg.shadow_sigma_db}: "
+                f"the derived largest channel power is {float(np.max(np.abs(channels) ** 2))}, "
+                f"which must be finite and positive")
 
     if cfg.weights_mode == "uniform01":
         w = rg.uniform(0.0, 1.0, size=n)
     else:
         w = np.ones(n)
-
-    # Normalize so the mean desired-link power is 1; noise follows from
-    # the configured SNR in these units. SINR is unchanged.
-    desired = h[np.arange(n), np.arange(n), :]
-    alpha = 1.0 / np.sqrt(np.mean(np.sum(np.abs(desired) ** 2, axis=1)))
-    h = alpha * h
     sigma2 = np.full(n, cfg.p_max / 10.0 ** (cfg.snr_db / 10.0))
 
     return Scenario(
         tx_positions=_snap_f32(tx),
         rx_positions=_snap_f32(rx),
-        channels=_snap_f32(h.real) + 1j * _snap_f32(h.imag),
+        channels=channels,
         weights=_snap_f32(w),
         noise_powers=_snap_f32(sigma2),
         scale_factor=float(alpha),
@@ -243,6 +252,10 @@ def interference_edges(s: Scenario, threshold: float) -> np.ndarray:
 
 
 def graph_from_edges(s: Scenario, edges: np.ndarray) -> Graph:
+    """The Graph of a scenario on the given (source, target) edges; its
+    vertex features carry the weights and noise powers the rates read."""
+    if not (s.noise_powers > 0.0).all():
+        raise ValueError("noise powers must be positive")
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     z = np.concatenate(
         [

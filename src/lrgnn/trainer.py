@@ -12,9 +12,9 @@ samples' losses. Union gradients are added into running totals in
 union order and divided by the batch size, so a given seed always
 gives bit-identical results.
 
-Evaluation scores a dataset in unions too, with one plain forward pass
-(no tape) per union; each sample's beamformer rows are sliced back out
-and scored on their own.
+Evaluation scores a dataset in unions too: one plain forward pass (no
+tape) and one rate_report per union; a sample's rate sums its
+vertices' weighted rates. Both loops read the rates from a union Graph.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import numpy as np
 from .autodiff import Tensor, value
 from .mpgnn import MpgnnArch, MpgnnParams, forward_real, init_params, rebuild_params, save_model
 from .nn import Adam
-from .objective import WsrTerms, weighted_sum_rate, wsr_from_real, wsr_terms
-from .scenario import Graph, merge_complex
+from .objective import rate_graph, rate_report, wsr_from_real
+from .scenario import Graph
 
 _SELECT_MODES = ("test", "train")
 
@@ -98,14 +98,13 @@ def _snap_f32(arrays: list) -> list:
     return [a.astype(np.float32).astype(np.float64) for a in arrays]
 
 
-def _union(samples) -> tuple[Graph, np.ndarray]:
-    """One disjoint-union Graph of the samples, and the vertex offset of
-    each sample in it followed by the total vertex count.
+def _union(graphs) -> tuple[Graph, np.ndarray]:
+    """One disjoint-union Graph, and the vertex offset of each graph in
+    it followed by the total vertex count.
 
-    The edges of each sample are offset by the vertex count of the
-    samples before it.
+    The edges of each graph are offset by the vertex count of the
+    graphs before it.
     """
-    graphs = [graph for _, graph in samples]
     offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
     union = Graph(
         np.concatenate([g.vertex_features for g in graphs]),
@@ -115,23 +114,30 @@ def _union(samples) -> tuple[Graph, np.ndarray]:
     return union, offsets
 
 
+def _unions(samples, full_interference: bool):
+    """(graph, rated, offsets) per union of up to _UNION_SIZE samples:
+    the union the model runs on, the one the rates read (the same unless
+    full_interference), and the vertex offsets."""
+    for lo in range(0, len(samples), _UNION_SIZE):
+        chunk = samples[lo : lo + _UNION_SIZE]
+        graph, offsets = _union([g for _, g in chunk])
+        if full_interference:
+            rated, _ = _union([rate_graph(s, full_interference=True) for s, _ in chunk])
+        else:
+            rated = graph
+        yield graph, rated, offsets
+
+
 def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
     """Summed loss (negative WSR) of a batch and its summed parameter
     gradients: one tape per union of up to _UNION_SIZE samples, union
     gradients added in union order."""
     loss = 0.0
     totals = [np.zeros_like(a) for a in arrays]
-    for lo in range(0, len(batch), _UNION_SIZE):
-        chunk = batch[lo : lo + _UNION_SIZE]
-        graph, offsets = _union(chunk)
-        parts = []
-        for (scenario, g), offset in zip(chunk, offsets):
-            t = wsr_terms(scenario, g.edges, full_interference=full_interference)
-            parts.append(t._replace(pairs=t.pairs + offset))
-        terms = WsrTerms(*(np.concatenate(p) for p in zip(*parts)))
+    for graph, rated, _ in _unions(batch, full_interference):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         q = forward_real(graph, rebuild_params(arch, tensors), arch)
-        neg = -wsr_from_real(terms, q)
+        neg = -wsr_from_real(rated, q)
         neg.backward()
         loss += float(neg.data)
         for total, t in zip(totals, tensors):
@@ -146,23 +152,18 @@ def sample_rates(
     """Weighted sum rate of each sample, in dataset order; never mutates
     params.
 
-    One plain forward pass (no tape) covers each union of up to
-    _UNION_SIZE samples; each sample's rows of the union's beamformers
-    are then scored on their own with weighted_sum_rate. A union of one sample
-    gives the same bits as forward on that sample; larger unions agree
-    with it to floating-point rounding.
+    One plain forward pass (no tape) and one rate_report cover each
+    union of up to _UNION_SIZE samples; each sample's rate is the sum of
+    its vertices' weighted rates. A union of one sample gives the same
+    bits as weighted_sum_rate of forward on that sample; larger unions
+    agree with it to floating-point rounding.
     """
     if not samples:
         raise ValueError("empty dataset")
     rates = []
-    for lo in range(0, len(samples), _UNION_SIZE):
-        chunk = samples[lo : lo + _UNION_SIZE]
-        graph, offsets = _union(chunk)
-        q = merge_complex(value(forward_real(graph, params, arch)))
-        rates += [
-            weighted_sum_rate(scenario, q[start:end], g.edges, full_interference=full_interference)
-            for (scenario, g), start, end in zip(chunk, offsets, offsets[1:])
-        ]
+    for graph, rated, offsets in _unions(samples, full_interference):
+        weighted = rate_report(rated, value(forward_real(graph, params, arch))).weighted_rate
+        rates += [np.add.reduce(weighted[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
     return np.array(rates)
 
 

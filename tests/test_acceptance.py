@@ -44,7 +44,7 @@ from lrgnn.mpgnn import (
     rebuild_params,
     save_model,
 )
-from lrgnn.objective import baseline_beamformers, sinr, weighted_sum_rate, wsr_from_real, wsr_terms
+from lrgnn.objective import baseline_beamformers, sinr, weighted_sum_rate, wsr_from_real
 from lrgnn.scenario import (
     Scenario,
     ScenarioConfig,
@@ -152,18 +152,16 @@ def _fd_case(arch: MpgnnArch, seed: int):
 
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     q = forward_real(sample.graph, rebuild_params(arch, tensors), arch)
-    neg = -wsr_from_real(sample.scenario, q, sample.graph.edges)
+    neg = -wsr_from_real(sample.graph, q)
     neg.backward()
     grads = [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 
     params = rebuild_params(arch, arrays)
-    # The oracle evaluates the same objective as the taped pass above,
-    # with the constant channel terms built once instead of per probe.
-    terms = wsr_terms(sample.scenario, sample.graph.edges)
 
+    # The oracle evaluates the same objective as the taped pass above.
     def f() -> float:
         qn = forward_real(sample.graph, params, arch)
-        return -float(wsr_from_real(terms, qn))
+        return -float(wsr_from_real(sample.graph, qn))
 
     def central(flat_a, k: int, eps: float) -> float:
         orig = flat_a[k]

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -97,10 +98,16 @@ class TestGenData:
         ("--snr-db", "4000", "noise power is 0.0"),
         ("--snr-db", "-4000", "noise power is inf"),
         ("--area-side", "1e308", "largest position coordinate is inf"),
+        # The gain passes, but |h|^2 underflows (the normalization is
+        # then inf) or psi * rho overflows.
+        ("--antenna-gain-dbi", "-3200", "largest channel power is inf"),
+        ("--antenna-gain-dbi", "3080", "largest channel power is nan"),
     ])
     def test_unusable_derived_value_is_one_line_error(self, tmp_path, capsys, flag, value, derived):
-        rc = main(["gen-data", "--out", str(tmp_path / "o"), "--train", "2", "--test", "1",
-                   flag, value])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["gen-data", "--out", str(tmp_path / "o"), "--train", "2", "--test", "1",
+                       flag, value])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -128,6 +135,15 @@ class TestTrain:
         assert rc == 0
         arch, _ = load_model(tmp_path / "model.bin")
         assert arch.kind == "low_rank" and (arch.rank1, arch.rank2) == (4, 4)
+
+    def test_power_budget_is_stored_in_the_model(self, data_dir, tmp_path):
+        rc = main([
+            "train", "--data", str(data_dir), "--out", str(tmp_path),
+            "--ranks", "4,4", "--epochs", "1", "--batch-size", "6", "--p-max", "4",
+        ])
+        assert rc == 0
+        arch, _ = load_model(tmp_path / "model.bin")
+        assert arch.p_max == 4.0
 
     def test_zero_rank_rejected(self, data_dir, tmp_path, capsys):
         rc = main([

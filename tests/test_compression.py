@@ -226,7 +226,7 @@ class TestDiskAndCsv:
         path = tmp_path / "m.bin"
         save_model(path, arch, init_params(arch, 0))
         total = count_model_params(arch, include_bias=True).total
-        assert model_disk_size(path) == 24 + 48 + 4 * total
+        assert model_disk_size(path) == 36 + 48 + 4 * total
 
     def test_model_disk_size_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -1,5 +1,8 @@
 """GNN structure: architecture validation, symmetry, projection, files."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -278,8 +281,8 @@ class TestModelFiles:
         p = tmp_path / "m.bin"
         save_model(p, arch, init_params(arch, 0))
         raw = bytearray(p.read_bytes())
-        # 24-byte file header, 12-byte layer header, then layer 0's W.
-        raw[36:40] = np.array([np.inf], dtype="<f4").tobytes()
+        # 36-byte file header, 12-byte layer header, then layer 0's W.
+        raw[48:52] = np.array([np.inf], dtype="<f4").tobytes()
         p.write_bytes(bytes(raw))
         with pytest.raises(ModelFormatError, match="non-finite value in layer 0 W"):
             load_model(p)
@@ -289,7 +292,7 @@ class TestModelFiles:
         p = tmp_path / "m.bin"
         save_model(p, arch, init_params(arch, 0))
         raw = bytearray(p.read_bytes())
-        raw[24] ^= 0xFF  # corrupt the first layer's d_in
+        raw[36] ^= 0xFF  # corrupt the first layer's d_in
         p.write_bytes(bytes(raw))
         with pytest.raises(ModelFormatError, match="layer 0"):
             load_model(p)
@@ -299,4 +302,40 @@ class TestModelFiles:
         p = tmp_path / "m.bin"
         save_model(p, arch, init_params(arch, 0))
         total = count_model_params(arch, include_bias=True).total
-        assert p.stat().st_size == 24 + 4 * 12 + 4 * total
+        assert p.stat().st_size == 36 + 4 * 12 + 4 * total
+
+    def test_power_budget_and_rounds_round_trip(self, tmp_path):
+        arch = MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=2, rank2=3, n_rounds=2, p_max=4.0)
+        _, params, (arch2, params2) = self.roundtrip(tmp_path, arch)
+        assert arch2 == arch
+        assert arch2.p_max == 4.0 and arch2.n_rounds == 2
+
+    def test_version_1_loads_with_defaults(self, tmp_path):
+        # A v1 file is a v2 file without the 12 bytes of p_max and n_rounds.
+        arch = MpgnnArch(n_tx_antennas=2, p_max=4.0, n_rounds=2)
+        params = rebuild_params(arch, [a.astype(np.float32).astype(np.float64)
+                                       for a in init_params(arch, 0).flat()])
+        p = tmp_path / "m.bin"
+        save_model(p, arch, params)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:24] + raw[36:])
+        arch1, loaded = load_model(p)
+        assert arch1 == MpgnnArch(n_tx_antennas=2)
+        for a, b in zip(params.flat(), loaded.flat()):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("field, offset, raw_value", [
+        ("p_max", 24, struct.pack("<d", math.nan)),
+        ("p_max", 24, struct.pack("<d", -1.0)),
+        ("n_rounds", 32, struct.pack("<I", 0)),
+        ("n_rounds", 32, struct.pack("<I", 1 << 24)),
+    ])
+    def test_invalid_stored_arch_value(self, tmp_path, field, offset, raw_value):
+        arch = MpgnnArch(n_tx_antennas=2)
+        p = tmp_path / "m.bin"
+        save_model(p, arch, init_params(arch, 0))
+        raw = bytearray(p.read_bytes())
+        raw[offset:offset + len(raw_value)] = raw_value
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(p)

@@ -5,13 +5,12 @@ import pytest
 
 from lrgnn.autodiff import Tensor
 from lrgnn.objective import (
-    WsrTerms,
     baseline_beamformers,
+    rate_graph,
     rate_report,
     sinr,
     weighted_sum_rate,
     wsr_from_real,
-    wsr_terms,
 )
 from lrgnn.scenario import (
     Sample,
@@ -19,8 +18,10 @@ from lrgnn.scenario import (
     ScenarioConfig,
     build_graph,
     generate_scenario,
+    graph_from_edges,
     split_complex,
 )
+from lrgnn.trainer import _union
 
 
 def make_scenario(h, noise, weights=None):
@@ -50,19 +51,97 @@ def random_sample(seed, n=3, nt=2):
     return Sample(scenario=s, graph=g)
 
 
+def report(s, q, edges=None, *, full_interference=False):
+    """rate_report of complex beamformers on one scenario."""
+    return rate_report(rate_graph(s, edges, full_interference=full_interference), split_complex(q))
+
+
+def reference(s, q, edges=None):
+    """Plain-loop complex reference: per user n, |vdot(h_nn, q_n)|^2 over
+    the interference summed on the edges (i, n) plus sigma2_n, or over
+    every i != n when edges is None. Returns (sinr, rate, interference,
+    weighted sum rate)."""
+    n = s.n_pairs
+    if edges is None:
+        edges = [(i, k) for i in range(n) for k in range(n) if i != k]
+    interference = np.zeros(n)
+    for i, k in edges:
+        interference[k] += abs(np.vdot(s.channels[i, k], q[i])) ** 2
+    snr = np.array([abs(np.vdot(s.channels[k, k], q[k])) ** 2 / (interference[k] + s.noise_powers[k])
+                    for k in range(n)])
+    rate = np.log1p(snr) / np.log(2.0)
+    return snr, rate, interference, float(np.sum(s.weights * rate))
+
+
+def random_beamformers(seed, n, nt):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, nt)) + 1j * rng.normal(size=(n, nt))
+
+
+class TestReference:
+    @pytest.mark.parametrize("full_interference", [False, True])
+    def test_every_entry_point_matches_the_loop(self, full_interference):
+        cases = [random_sample(seed, n=4, nt=3) for seed in range(6)]
+        edgeless = cases[0].scenario
+        cases.append(Sample(edgeless, graph_from_edges(edgeless, np.empty((0, 2), dtype=np.intp))))
+        for k, (s, g) in enumerate(cases):
+            q = random_beamformers(k + 60, 4, 3)
+            want_sinr, want_rate, want_interf, want_wsr = reference(
+                s, q, None if full_interference else g.edges.tolist())
+            graph = rate_graph(s, g.edges, full_interference=full_interference)
+            r = rate_report(graph, split_complex(q))
+            np.testing.assert_allclose(r.sinr, want_sinr, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(r.rate, want_rate, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(r.interference, want_interf, rtol=1e-12, atol=0.0)
+            assert r.weighted_sum_rate == pytest.approx(want_wsr, rel=1e-12)
+            np.testing.assert_allclose(sinr(s, q, g.edges, full_interference=full_interference),
+                                       want_sinr, rtol=1e-12, atol=0.0)
+            got = weighted_sum_rate(s, q, g.edges, full_interference=full_interference)
+            assert got == pytest.approx(want_wsr, rel=1e-12)
+            assert wsr_from_real(graph, split_complex(q)) == pytest.approx(want_wsr, rel=1e-12)
+            taped = wsr_from_real(graph, Tensor(split_complex(q), requires_grad=True))
+            assert float(taped.data) == pytest.approx(want_wsr, rel=1e-12)
+        assert cases[-1].graph.edges.shape[0] == 0
+
+    @pytest.mark.parametrize("full_interference", [False, True])
+    def test_union_of_two_samples_matches_the_loop(self, full_interference):
+        a, b = random_sample(11, n=3, nt=2), random_sample(12, n=5, nt=2)
+        qa, qb = random_beamformers(70, 3, 2), random_beamformers(71, 5, 2)
+        want = [reference(x.scenario, q, None if full_interference else x.graph.edges.tolist())
+                for x, q in ((a, qa), (b, qb))]
+        union, _ = _union([rate_graph(x.scenario, x.graph.edges, full_interference=full_interference)
+                            for x in (a, b)])
+        r = rate_report(union, split_complex(np.concatenate([qa, qb])))
+        for got, k in ((r.sinr, 0), (r.rate, 1), (r.interference, 2)):
+            np.testing.assert_allclose(got, np.concatenate([want[0][k], want[1][k]]), rtol=1e-12, atol=0.0)
+        total = want[0][3] + want[1][3]
+        assert r.weighted_sum_rate == pytest.approx(total, rel=1e-12)
+        assert wsr_from_real(union, split_complex(np.concatenate([qa, qb]))) == pytest.approx(total, rel=1e-12)
+
+    def test_rate_graph_of_full_interference_has_every_pair(self):
+        s = random_sample(13, n=4, nt=2).scenario
+        got = rate_graph(s, full_interference=True).edges.tolist()
+        assert got == [[i, k] for i in range(4) for k in range(4) if i != k]
+
+    def test_beamformer_shape_checked(self):
+        sample = random_sample(14)
+        with pytest.raises(ValueError, match="beamformer shape"):
+            rate_report(sample.graph, np.zeros((3, 2)))
+
+
 class TestSinr:
     def test_single_user_unit_case(self):
         s = make_scenario(np.ones((1, 1, 4)) * np.array([1, 0, 0, 0]), 1.0)
         q = np.zeros((1, 4), dtype=np.complex128)
         q[0, 0] = 1.0
-        r = rate_report(s, q, edges=np.empty((0, 2), dtype=np.intp))
+        r = report(s, q, edges=np.empty((0, 2), dtype=np.intp))
         assert r.sinr[0] == pytest.approx(1.0, rel=1e-12)
         assert r.rate[0] == pytest.approx(1.0, rel=1e-12)
         assert r.interference[0] == 0.0
 
     def test_two_user_cross_talk_values(self):
         s, q, edges = two_user_case()
-        r = rate_report(s, q, edges)
+        r = report(s, q, edges)
         np.testing.assert_allclose(r.sinr, 1.0 / 0.35, rtol=1e-12)
         np.testing.assert_allclose(r.interference, 0.25, rtol=1e-12)
         np.testing.assert_allclose(r.rate, np.log2(1.0 + 1.0 / 0.35), rtol=1e-12)
@@ -106,8 +185,8 @@ class TestSinr:
         # Dropping an edge removes its interference term; the full-graph
         # variant must therefore never report a larger denominator.
         s, q, edges = two_user_case()
-        partial = rate_report(s, q, edges[:1])
-        full = rate_report(s, q, full_interference=True)
+        partial = report(s, q, edges[:1])
+        full = report(s, q, full_interference=True)
         # The single kept edge (0, 1) carries TX 0's interference to RX 1.
         assert partial.interference[0] == 0.0
         assert partial.interference[1] == pytest.approx(0.25, rel=1e-12)
@@ -132,39 +211,38 @@ class TestWeightedSumRate:
     def test_weights_scale_linearly(self):
         s, q, edges = two_user_case()
         w = make_scenario(s.channels, 0.1, weights=[2.0, 3.0])
-        r = rate_report(s, q, edges)
+        r = report(s, q, edges)
         expected = 2.0 * r.rate[0] + 3.0 * r.rate[1]
         assert weighted_sum_rate(w, q, edges) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRealRoute:
     def test_matches_complex_route(self):
+        # wsr_from_real on a sample's own graph, against the plain loop.
         for seed in range(8):
             sample = random_sample(seed, n=4, nt=3)
-            rng = np.random.default_rng(seed + 100)
-            q = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-            ref = weighted_sum_rate(sample.scenario, q, sample.graph.edges)
-            got = wsr_from_real(sample.scenario, split_complex(q), sample.graph.edges)
-            assert got == pytest.approx(ref, rel=1e-12)
+            q = random_beamformers(seed + 100, 4, 3)
+            want = reference(sample.scenario, q, sample.graph.edges.tolist())[3]
+            assert wsr_from_real(sample.graph, split_complex(q)) == pytest.approx(want, rel=1e-12)
 
     def test_terms_of_a_disjoint_union_sum_the_rates(self):
         a, b = random_sample(5, n=3, nt=2), random_sample(6, n=4, nt=2)
         rng = np.random.default_rng(50)
         qa, qb = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-        ta = wsr_terms(a.scenario, a.graph.edges)
-        tb = wsr_terms(b.scenario, b.graph.edges)
-        assert wsr_from_real(ta, qa) == wsr_from_real(a.scenario, qa, a.graph.edges)
-        union = WsrTerms(*(np.concatenate(p) for p in zip(ta, tb._replace(pairs=tb.pairs + 3))))
-        want = wsr_from_real(a.scenario, qa, a.graph.edges) + wsr_from_real(b.scenario, qb, b.graph.edges)
+        # A dataset graph holds the same constants rate_graph builds.
+        assert wsr_from_real(a.graph, qa) == wsr_from_real(rate_graph(a.scenario, a.graph.edges), qa)
+        union, _ = _union([a.graph, b.graph])
+        want = wsr_from_real(a.graph, qa) + wsr_from_real(b.graph, qb)
         assert wsr_from_real(union, np.concatenate([qa, qb])) == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValueError, match="WsrTerms"):
-            wsr_from_real(ta, qa, a.graph.edges)
+        weighted = rate_report(union, np.concatenate([qa, qb])).weighted_rate
+        assert np.add.reduce(weighted[:3]) == pytest.approx(wsr_from_real(a.graph, qa), rel=1e-12)
+        assert np.add.reduce(weighted[3:]) == pytest.approx(wsr_from_real(b.graph, qb), rel=1e-12)
 
     def test_loss_single_sample_is_negative_wsr(self):
         # The training loss is -wsr_from_real on taped beamformers.
         sample = random_sample(1)
         q = baseline_beamformers(sample.scenario, "mrt")
-        value = -wsr_from_real(sample.scenario, Tensor(split_complex(q)), sample.graph.edges)
+        value = -wsr_from_real(sample.graph, Tensor(split_complex(q)))
         ref = weighted_sum_rate(sample.scenario, q, sample.graph.edges)
         assert value.data == pytest.approx(-ref, rel=1e-12)
 
@@ -173,10 +251,8 @@ class TestRealRoute:
         # per-sample mean a batch reports is unchanged.
         sample = random_sample(2)
         q = split_complex(baseline_beamformers(sample.scenario, "random", seed=3))
-        t = wsr_terms(sample.scenario, sample.graph.edges)
-        shifted = t._replace(pairs=t.pairs + sample.scenario.n_pairs)
-        twice = WsrTerms(*(np.concatenate(p) for p in zip(t, shifted)))
-        one = -wsr_from_real(t, Tensor(q)).data
+        twice, _ = _union([sample.graph, sample.graph])
+        one = -wsr_from_real(sample.graph, Tensor(q)).data
         two = -wsr_from_real(twice, Tensor(np.concatenate([q, q]))).data
         assert two / 2 == pytest.approx(float(one), rel=1e-12)
 
@@ -187,11 +263,11 @@ class TestRealRoute:
 
         # The training loss is the negative weighted sum rate.
         t = Tensor(q0.copy(), requires_grad=True)
-        out = -wsr_from_real(sample.scenario, t, sample.graph.edges)
+        out = -wsr_from_real(sample.graph, t)
         out.backward()
 
         def f(x):
-            return -float(wsr_from_real(sample.scenario, np.asarray(x), sample.graph.edges))
+            return -float(wsr_from_real(sample.graph, np.asarray(x)))
 
         eps = 1e-6
         for idx in np.ndindex(q0.shape):

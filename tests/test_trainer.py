@@ -8,7 +8,7 @@ import pytest
 
 from lrgnn.autodiff import Tensor
 from lrgnn.mpgnn import MpgnnArch, forward, forward_real, init_params, load_model, rebuild_params
-from lrgnn.objective import weighted_sum_rate, wsr_from_real
+from lrgnn.objective import rate_graph, weighted_sum_rate, wsr_from_real
 from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset, graph_from_edges
 from lrgnn.trainer import (
     TrainConfig,
@@ -146,7 +146,9 @@ class TestTrainBasics:
             weights=np.full_like(bad.weights, np.nan),
             noise_powers=bad.noise_powers,
         )
-        data = [Sample(scenario=poisoned, graph=data[0].graph)] + list(data[1:])
+        # The rates read the weights from the graph, so it is rebuilt
+        # from the poisoned scenario.
+        data = [Sample(poisoned, graph_from_edges(poisoned, data[0].graph.edges))] + list(data[1:])
         cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=2), epochs=1, batch_size=len(data), seed=0)
         with pytest.raises(FloatingPointError, match="epoch 1, batch 0"):
             train(data, cfg)
@@ -207,29 +209,27 @@ class TestEvaluate:
         arch = MpgnnArch(n_tx_antennas=2)
         params = init_params(arch, 1)
         test = dataset(3, seed=18)
-        zeroed = [
-            Sample(
-                scenario=Scenario(
-                    tx_positions=s.scenario.tx_positions,
-                    rx_positions=s.scenario.rx_positions,
-                    channels=s.scenario.channels,
-                    weights=np.zeros_like(s.scenario.weights),
-                    noise_powers=s.scenario.noise_powers,
-                ),
-                graph=s.graph,
+        zeroed = []
+        for s in test:
+            z = Scenario(
+                tx_positions=s.scenario.tx_positions,
+                rx_positions=s.scenario.rx_positions,
+                channels=s.scenario.channels,
+                weights=np.zeros_like(s.scenario.weights),
+                noise_powers=s.scenario.noise_powers,
             )
-            for s in test
-        ]
+            zeroed.append(Sample(z, graph_from_edges(z, s.graph.edges)))
         with pytest.raises(ValueError, match="non-positive"):
             normalized_sum_rate((arch, params), (arch, params), zeroed)
 
 
 def sample_loss_and_grads(arch, arrays, sample, full_interference):
-    """Reference: one sample on its own tape, through the one-sample
-    objective wsr_from_real."""
+    """Reference: one sample on its own tape, through wsr_from_real on
+    the sample's own graph (or its all-pairs graph)."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     q = forward_real(sample.graph, rebuild_params(arch, tensors), arch)
-    neg = -wsr_from_real(sample.scenario, q, sample.graph.edges, full_interference=full_interference)
+    rated = rate_graph(sample.scenario, full_interference=True) if full_interference else sample.graph
+    neg = -wsr_from_real(rated, q)
     neg.backward()
     return float(neg.data), [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 

@@ -1,25 +1,31 @@
 """Command-line pipeline: gen-data, train, eval, analyze, inspect.
 
-Settings resolve in three layers: built-in defaults, then a key=value
-config file (--config), then explicit flags. Unknown config keys are
-rejected. Every command that writes files also writes a JSON echo of
-its resolved settings, so a run can be reproduced from its output
-directory; outputs carry no timestamps, making same-seed runs
-byte-identical. Exit codes: 0 success, 1 runtime failure, 2 usage
-error.
+The settings of gen-data and train are declared once, one table per
+command: the flags, config keys, value types and library arguments all
+come from it. Settings resolve in three layers: defaults, then a
+key=value config file (--config), then explicit flags. The defaults are
+the library's (ScenarioConfig, TrainConfig) except for a few of the
+CLI's own; train's p_max defaults to the dataset's power budget.
+Unknown config keys are rejected. Every command that writes files also
+writes a JSON echo of its resolved settings, so a run can be
+reproduced from its output directory; outputs carry no timestamps,
+making same-seed runs byte-identical. Exit codes: 0 success, 1 runtime
+failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
-from . import compression, trainer
+from . import compression, scenario, trainer
 from .binio import FormatError
 from .mpgnn import MpgnnArch, count_model_params, load_model
 from .scenario import ScenarioConfig, generate_dataset, read_dataset, write_dataset
@@ -29,69 +35,67 @@ class UsageError(Exception):
     """Bad invocation (unknown config key, malformed value): exit 2."""
 
 
-_SCENARIO_OPTS = {
-    "pairs": int,
-    "antennas": int,
-    "area_side": float,
-    "d_min": float,
-    "d_max": float,
-    "edge_threshold": float,
-    "pathloss_log_base": str,
-    "antenna_gain_dbi": float,
-    "shadow_sigma_db": float,
-    "p_max": float,
-    "snr_db": float,
-    "weights_mode": str,
-    "seed": int,
-}
+class _Setting(NamedTuple):
+    """One setting of gen-data or train. The key is the config key and,
+    with '-' for '_', the flag. `default` is the CLI's own; without one
+    the setting takes its library dataclass's default (the field named
+    by _RENAMES, else the key). '{default}' in `help` shows the default."""
 
-_GEN_OPTS = {**_SCENARIO_OPTS, "train": int, "test": int}
+    key: str
+    type: type
+    help: str | None = None
+    choices: tuple | None = None
+    default: object = None
 
-_TRAIN_OPTS = {
-    "ranks": str,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "seed": int,
-    "eval_every": int,
-    "select_on": str,
-    "p_max": float,
+
+_RENAMES = {"pairs": "n_pairs", "antennas": "n_tx_antennas"}
+
+_GEN_DATA = (ScenarioConfig, (
+    _Setting("train", int, "training samples (default {default})", default=2000),
+    _Setting("test", int, "test samples (default {default})", default=500),
+    _Setting("pairs", int, "transceiver pairs N (default {default})", default=3),
+    _Setting("antennas", int, "TX antennas Nt (default {default})", default=8),
+    _Setting("seed", int, "base RNG seed (default {default})"),
+    _Setting("area_side", float, "square side, meters"),
+    _Setting("d_min", float, "min TX-RX distance, meters"),
+    _Setting("d_max", float, "max TX-RX distance, meters"),
+    _Setting("edge_threshold", float, "interference edge distance, meters (default {default:g})"),
+    _Setting("pathloss_log_base", str, "path-loss log base (default {default})", scenario._LOG_BASES),
+    _Setting("antenna_gain_dbi", float),
+    _Setting("shadow_sigma_db", float),
+    _Setting("p_max", float, "per-TX power budget"),
+    _Setting("snr_db", float, "SNR setting the noise power"),
+    _Setting("weights_mode", str, None, scenario._WEIGHT_MODES),
+))
+
+# p_max is not a TrainConfig field: it defaults to the dataset's.
+_TRAIN = (trainer.TrainConfig, (
+    _Setting("ranks", str, "'dense' or 'a1,a2' (default {default})", default="dense"),
+    _Setting("epochs", int),
+    _Setting("batch_size", int),
+    _Setting("lr", float),
+    _Setting("seed", int),
+    _Setting("eval_every", int),
+    _Setting("select_on", str, None, trainer._SELECT_MODES),
+    _Setting("p_max", float),
     # Accepted and ignored, so older configs and scripts still run:
     # training has a single, deterministic code path.
-    "deterministic": bool,
-    "full_interference": bool,
-}
+    _Setting("deterministic", bool, "accepted and ignored: training is always deterministic",
+             default=False),
+    _Setting("full_interference", bool, "ignore the edge threshold in the loss"),
+))
 
-_SCENARIO_DEFAULTS = {
-    "pairs": 3,
-    "antennas": 8,
-    "area_side": 2000.0,
-    "d_min": 10.0,
-    "d_max": 100.0,
-    "edge_threshold": 500.0,
-    "pathloss_log_base": "log10",
-    "antenna_gain_dbi": 9.0,
-    "shadow_sigma_db": 8.0,
-    "p_max": 1.0,
-    "snr_db": 10.0,
-    "weights_mode": "all_ones",
-    "seed": 0,
-}
 
-_GEN_DEFAULTS = {**_SCENARIO_DEFAULTS, "train": 2000, "test": 500}
+def _defaults(library, table) -> dict:
+    fields = {f.name: f.default for f in dataclasses.fields(library)}
+    return {s.key: fields.get(_RENAMES.get(s.key, s.key)) if s.default is None else s.default
+            for s in table}
 
-_TRAIN_DEFAULTS = {
-    "ranks": "dense",
-    "epochs": 50,
-    "batch_size": 64,
-    "lr": 0.001,
-    "seed": 0,
-    "eval_every": 1,
-    "select_on": "test",
-    "p_max": 1.0,
-    "deterministic": False,
-    "full_interference": False,
-}
+
+def _library_kwargs(library, resolved: dict) -> dict:
+    """The resolved settings that are fields of `library`, by field name."""
+    names = {f.name for f in dataclasses.fields(library)}
+    return {_RENAMES.get(k, k): v for k, v in resolved.items() if _RENAMES.get(k, k) in names}
 
 
 def _parse_value(key: str, raw: str, typ):
@@ -108,8 +112,9 @@ def _parse_value(key: str, raw: str, typ):
         raise UsageError(f"config key {key!r}: expected {typ.__name__}, got {raw!r}") from None
 
 
-def _load_config(path, allowed: dict) -> dict:
+def _load_config(path, table) -> dict:
     """key=value lines; '#' starts a comment; unknown keys are errors."""
+    types = {s.key: s.type for s in table}
     out = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -119,21 +124,20 @@ def _load_config(path, allowed: dict) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in allowed:
+            if key not in types:
                 raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_value(key, raw, allowed[key])
+            out[key] = _parse_value(key, raw, types[key])
     return out
 
 
-def _resolve(args, opts: dict, defaults: dict) -> dict:
+def _resolve(args, library, table) -> dict:
     """defaults, overlaid by --config values, overlaid by explicit flags."""
-    conf = _load_config(args.config, opts) if getattr(args, "config", None) else {}
-    resolved = dict(defaults)
-    resolved.update(conf)
-    for key in opts:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
+    resolved = _defaults(library, table)
+    if args.config:
+        resolved.update(_load_config(args.config, table))
+    for s in table:
+        if getattr(args, s.key) is not None:
+            resolved[s.key] = getattr(args, s.key)
     return resolved
 
 
@@ -141,24 +145,6 @@ def _write_echo(path, resolved: dict) -> None:
     with open(path, "w") as f:
         json.dump(resolved, f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _scenario_config(resolved: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        n_pairs=resolved["pairs"],
-        n_tx_antennas=resolved["antennas"],
-        area_side=resolved["area_side"],
-        d_min=resolved["d_min"],
-        d_max=resolved["d_max"],
-        edge_threshold=resolved["edge_threshold"],
-        pathloss_log_base=resolved["pathloss_log_base"],
-        antenna_gain_dbi=resolved["antenna_gain_dbi"],
-        shadow_sigma_db=resolved["shadow_sigma_db"],
-        p_max=resolved["p_max"],
-        snr_db=resolved["snr_db"],
-        weights_mode=resolved["weights_mode"],
-        seed=resolved["seed"],
-    )
 
 
 def _parse_ranks(raw: str) -> tuple:
@@ -176,10 +162,10 @@ def _parse_ranks(raw: str) -> tuple:
 
 
 def cmd_gen_data(args) -> int:
-    resolved = _resolve(args, _GEN_OPTS, _GEN_DEFAULTS)
+    resolved = _resolve(args, *_GEN_DATA)
     if resolved["train"] < 1 or resolved["test"] < 0:
         raise ValueError("need at least 1 training sample and >= 0 test samples")
-    cfg = _scenario_config(resolved)
+    cfg = ScenarioConfig(**_library_kwargs(ScenarioConfig, resolved))
     os.makedirs(args.out, exist_ok=True)
     # Disjoint per-sample seed index ranges keep the splits isolated.
     train = generate_dataset(cfg, resolved["train"], first_index=0)
@@ -194,27 +180,20 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(args, _TRAIN_OPTS, _TRAIN_DEFAULTS)
+    resolved = _resolve(args, *_TRAIN)
     train_set = read_dataset(os.path.join(args.data, "train.bin"))
     test_path = os.path.join(args.data, "test.bin")
     test_set = read_dataset(test_path) if os.path.exists(test_path) else None
     nt = train_set[0].scenario.n_tx_antennas
+    if resolved["p_max"] is None:
+        resolved["p_max"] = train_set[0].scenario.p_max
 
     kind, rank1, rank2 = _parse_ranks(resolved["ranks"])
     arch = MpgnnArch(n_tx_antennas=nt, kind=kind, rank1=rank1, rank2=rank2, p_max=resolved["p_max"])
 
     os.makedirs(args.out, exist_ok=True)
-    cfg = trainer.TrainConfig(
-        arch=arch,
-        lr=resolved["lr"],
-        batch_size=resolved["batch_size"],
-        epochs=resolved["epochs"],
-        seed=resolved["seed"],
-        eval_every=resolved["eval_every"],
-        select_on=resolved["select_on"],
-        checkpoint_path=os.path.join(args.out, "model.bin"),
-        full_interference=resolved["full_interference"],
-    )
+    cfg = trainer.TrainConfig(arch=arch, checkpoint_path=os.path.join(args.out, "model.bin"),
+                              **_library_kwargs(trainer.TrainConfig, resolved))
     params, report = trainer.train(train_set, cfg, test_set)
     trainer.write_train_report(report, os.path.join(args.out, "train_report.csv"))
     _write_echo(os.path.join(args.out, "train_config.json"), resolved)
@@ -308,6 +287,18 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _add_settings(parser, library, table) -> None:
+    """One flag per setting; unset flags stay None so _resolve can layer."""
+    defaults = _defaults(library, table)
+    for s in table:
+        flag = "--" + s.key.replace("_", "-")
+        text = s.help and s.help.format(default=defaults[s.key])
+        if s.type is bool:
+            parser.add_argument(flag, action="store_const", const=True, default=None, help=text)
+        else:
+            parser.add_argument(flag, type=s.type, choices=s.choices, help=text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lrgnn",
@@ -318,41 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate train/test interference-network datasets")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--config", help="key=value config file")
-    g.add_argument("--train", type=int, help="training samples (default 2000)")
-    g.add_argument("--test", type=int, help="test samples (default 500)")
-    g.add_argument("--pairs", type=int, help="transceiver pairs N (default 3)")
-    g.add_argument("--antennas", type=int, help="TX antennas Nt (default 8)")
-    g.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    g.add_argument("--area-side", type=float, dest="area_side", help="square side, meters")
-    g.add_argument("--d-min", type=float, dest="d_min", help="min TX-RX distance, meters")
-    g.add_argument("--d-max", type=float, dest="d_max", help="max TX-RX distance, meters")
-    g.add_argument("--edge-threshold", type=float, dest="edge_threshold",
-                   help="interference edge distance, meters (default 500)")
-    g.add_argument("--pathloss-log-base", dest="pathloss_log_base", choices=("log10", "log2"),
-                   help="path-loss log base (default log10)")
-    g.add_argument("--antenna-gain-dbi", type=float, dest="antenna_gain_dbi")
-    g.add_argument("--shadow-sigma-db", type=float, dest="shadow_sigma_db")
-    g.add_argument("--p-max", type=float, dest="p_max", help="per-TX power budget")
-    g.add_argument("--snr-db", type=float, dest="snr_db", help="SNR setting the noise power")
-    g.add_argument("--weights-mode", dest="weights_mode", choices=("all_ones", "uniform01"))
+    _add_settings(g, *_GEN_DATA)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model on a generated dataset")
     t.add_argument("--data", required=True, help="dataset directory (train.bin/test.bin)")
     t.add_argument("--out", required=True, help="output directory")
     t.add_argument("--config", help="key=value config file")
-    t.add_argument("--ranks", help="'dense' or 'a1,a2' (default dense)")
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch-size", type=int, dest="batch_size")
-    t.add_argument("--lr", type=float)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--eval-every", type=int, dest="eval_every")
-    t.add_argument("--select-on", dest="select_on", choices=("test", "train"))
-    t.add_argument("--p-max", type=float, dest="p_max")
-    t.add_argument("--deterministic", action="store_const", const=True, default=None,
-                   help="accepted and ignored: training is always deterministic")
-    t.add_argument("--full-interference", dest="full_interference", action="store_const",
-                   const=True, default=None, help="ignore the edge threshold in the loss")
+    _add_settings(t, *_TRAIN)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a model file on a dataset file")

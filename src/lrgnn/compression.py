@@ -156,6 +156,8 @@ def weight_histogram(params: MpgnnParams, n_bins: int = 50) -> HistogramReport:
     pooled = np.concatenate([f for _, f in flats])
     if not pooled.size:
         raise ValueError("no weights to histogram")
+    if n_bins > pooled.size:
+        raise ValueError(f"n_bins must be <= the pooled weight count {pooled.size}, got {n_bins}")
     lo, hi = float(pooled.min()), float(pooled.max())
     if lo == hi:
         # Degenerate range (e.g. all-zero weights): one centered bin span.

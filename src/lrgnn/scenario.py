@@ -24,7 +24,7 @@ import numpy as np
 from .binio import ByteReader, FormatError
 
 DATASET_MAGIC = b"LRGD"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 _LOG_BASES = ("log10", "log2")
 _WEIGHT_MODES = ("all_ones", "uniform01")
@@ -32,8 +32,8 @@ _WEIGHT_MODES = ("all_ones", "uniform01")
 
 class DatasetFormatError(FormatError):
     """Raised when a dataset file is malformed (magic, version, truncation,
-    non-finite floats, noise powers <= 0, edges that interference_edges
-    could not have produced)."""
+    non-finite floats, a power budget or noise powers <= 0, edges that
+    interference_edges could not have produced)."""
 
 
 @dataclass(frozen=True)
@@ -287,9 +287,12 @@ def generate_dataset(cfg: ScenarioConfig, n_samples: int, first_index: int = 0) 
 
 
 # ---------------------------------------------------------------------------
-# Dataset files: little-endian, magic "LRGD", all floats f32, complex values
-# interleaved (Re, Im). Layout per sample: TX xy, RX xy, H in (i, n, antenna)
-# row-major order, weights, noise powers, edge count, (source, target) pairs.
+# Dataset files: little-endian, magic "LRGD". Header: version u32, sample
+# count u32, pair count u32, antenna count u32, the samples' shared p_max
+# f64. Then per sample, all floats f32 and complex values interleaved
+# (Re, Im): TX xy, RX xy, H in (i, n, antenna) row-major order, weights,
+# noise powers, edge count, (source, target) pairs. Version 1 files lack
+# p_max; they load with p_max 1.
 # ---------------------------------------------------------------------------
 
 
@@ -298,14 +301,16 @@ def write_dataset(samples: list[Sample], path) -> None:
         raise ValueError("refusing to write an empty dataset")
     n = samples[0].scenario.n_pairs
     nt = samples[0].scenario.n_tx_antennas
+    p_max = samples[0].scenario.p_max
     for k, (s, g) in enumerate(samples):
         if s.n_pairs != n or s.n_tx_antennas != nt:
             raise ValueError(f"sample {k} has shape ({s.n_pairs}, {s.n_tx_antennas}), expected ({n}, {nt})")
+        if s.p_max != p_max:
+            raise ValueError(f"sample {k} has p_max {s.p_max}, expected {p_max}")
 
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
-        f.write(struct.pack("<III", DATASET_VERSION, len(samples), n))
-        f.write(struct.pack("<I", nt))
+        f.write(struct.pack("<IIIId", DATASET_VERSION, len(samples), n, nt, p_max))
         for s, g in samples:
             f.write(s.tx_positions.astype("<f4").tobytes())
             f.write(s.rx_positions.astype("<f4").tobytes())
@@ -338,8 +343,9 @@ def _edge_problem(edges: np.ndarray, n: int) -> str | None:
 def read_dataset(path) -> list[Sample]:
     """Read a dataset file back into (Scenario, Graph) samples.
 
-    Stored channels are already normalized, so scale_factor is 1 and
-    p_max takes its default on the reconstructed scenarios.
+    Stored channels are already normalized, so scale_factor is 1 on the
+    reconstructed scenarios. Each gets the file's power budget p_max;
+    version 1 files do not store one and give p_max 1.
     """
     with open(path, "rb") as f:
         buf = f.read()
@@ -348,13 +354,16 @@ def read_dataset(path) -> list[Sample]:
     if magic != DATASET_MAGIC:
         raise DatasetFormatError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
     version = r.u32("version")
-    if version != DATASET_VERSION:
+    if version not in (1, DATASET_VERSION):
         raise DatasetFormatError(f"{path}: unsupported version {version}")
     n_samples = r.u32("sample count")
     n = r.u32("pair count")
     nt = r.u32("antenna count")
     if n < 1 or nt < 1 or n_samples < 1:
         raise DatasetFormatError(f"{path}: invalid header counts ({n_samples}, {n}, {nt})")
+    p_max = struct.unpack("<d", r.take(8, "p_max"))[0] if version == DATASET_VERSION else 1.0
+    if not 0.0 < p_max < math.inf:
+        raise DatasetFormatError(f"{path}: p_max {p_max} is not finite and positive")
 
     samples = []
     for k in range(n_samples):
@@ -380,6 +389,7 @@ def read_dataset(path) -> list[Sample]:
             channels=h,
             weights=w,
             noise_powers=sigma2,
+            p_max=p_max,
         )
         samples.append(Sample(s, graph_from_edges(s, edges)))
     r.done()

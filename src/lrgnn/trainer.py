@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.select_on not in _SELECT_MODES:
             raise ValueError(f"select_on must be one of {_SELECT_MODES}")
 

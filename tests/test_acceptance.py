@@ -22,6 +22,7 @@ and enforces the claim's wall-time budget. The claims:
 import time
 
 import numpy as np
+import pytest
 
 from lrgnn.autodiff import Tensor
 from lrgnn.cli import main
@@ -195,6 +196,7 @@ def _fd_case(arch: MpgnnArch, seed: int):
     return worst, n_checked, n_refined
 
 
+@pytest.mark.slow
 def test_criterion_4_gradients_match_finite_differences():
     t0 = time.perf_counter()
     dense = MpgnnArch(n_tx_antennas=4)
@@ -270,6 +272,7 @@ def test_criterion_5_structural_invariants():
     )
 
 
+@pytest.mark.slow
 def test_criterion_6_desk_scale_training():
     # Fixed protocol, identical for both models: 25 dB SNR, batch 2,
     # lr 0.001, 30 epochs, seed 0. SNR and batch size are the two free

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import resource
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from lrgnn.cli import main
 from lrgnn.mpgnn import load_model
+from lrgnn.objective import baseline_beamformers
 from lrgnn.scenario import read_dataset
 from lrgnn.trainer import sample_rates
 
@@ -145,6 +149,21 @@ class TestTrain:
         arch, _ = load_model(tmp_path / "model.bin")
         assert arch.p_max == 4.0
 
+    def test_power_budget_defaults_to_the_datasets(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--out", str(data), "--pairs", "2", "--antennas", "2",
+                     "--train", "4", "--test", "2", "--p-max", "4"]) == 0
+        samples = read_dataset(data / "train.bin")
+        assert [s.scenario.p_max for s in samples] == [4.0] * 4
+        mrt = baseline_beamformers(samples[0].scenario, "mrt")
+        np.testing.assert_allclose(np.sum(np.abs(mrt) ** 2, axis=1), 4.0, rtol=1e-12)
+        for extra, want in (([], 4.0), (["--p-max", "2"], 2.0)):
+            out = tmp_path / f"run{want}"
+            assert main(["train", "--data", str(data), "--out", str(out),
+                         "--epochs", "1", "--batch-size", "4"] + extra) == 0
+            assert load_model(out / "model.bin")[0].p_max == want
+            assert json.loads((out / "train_config.json").read_text())["p_max"] == want
+
     def test_zero_rank_rejected(self, data_dir, tmp_path, capsys):
         rc = main([
             "train", "--data", str(data_dir), "--out", str(tmp_path), "--ranks", "0,4",
@@ -246,9 +265,9 @@ class TestEval:
 
     def test_nan_in_dataset_is_one_line_error(self, data_dir, model_dir, tmp_path, capsys):
         raw = bytearray((data_dir / "test.bin").read_bytes())
-        # Header 20 bytes, then sample 0's TX and RX xy (2 pairs: 2 * 16
+        # Header 28 bytes, then sample 0's TX and RX xy (2 pairs: 2 * 16
         # bytes), then its first channel float.
-        raw[52:56] = np.array([np.nan], dtype="<f4").tobytes()
+        raw[60:64] = np.array([np.nan], dtype="<f4").tobytes()
         bad = tmp_path / "test.bin"
         bad.write_bytes(bytes(raw))
         rc = main(["eval", "--model", str(model_dir / "model.bin"),
@@ -291,6 +310,26 @@ class TestAnalyze:
         assert main(["analyze", "--mode", "svals", "--model", model,
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "svals_model.csv").exists()
+
+    def test_more_bins_than_weights_is_one_line_error(self, model_dir, tmp_path):
+        # Under a 2 GiB address-space cap: the edges of 10^9 bins alone
+        # would take 7.45 GiB.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        t0 = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrgnn.cli", "analyze", "--mode", "weights-hist",
+             "--model", str(model_dir / "model.bin"), "--bins", "1000000000",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, preexec_fn=cap, timeout=60,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert time.perf_counter() - t0 < 30.0
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "pooled weight count" in proc.stderr
+        assert not (tmp_path / "weights_hist_model.csv").exists()
 
     def test_model_modes_require_model(self, tmp_path, capsys):
         rc = main(["analyze", "--mode", "svals", "--out", str(tmp_path)])

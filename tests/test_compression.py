@@ -136,6 +136,11 @@ class TestWeightHistogram:
         params = init_params(MpgnnArch(n_tx_antennas=2), 0)
         with pytest.raises(ValueError, match="n_bins"):
             weight_histogram(params, n_bins=0)
+        # More bins than weights is refused before the bin edges exist.
+        count = dense_param_count(2)
+        assert int(weight_histogram(params, n_bins=count).pooled.counts.sum()) == count
+        with pytest.raises(ValueError, match=f"pooled weight count {count}, got {count + 1}"):
+            weight_histogram(params, n_bins=count + 1)
 
 
 class TestSpectra:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -260,6 +261,34 @@ class TestDatasetFiles:
         b = generate_dataset(small_cfg(n_pairs=5), 1)
         with pytest.raises(ValueError, match="shape"):
             write_dataset(a + b, tmp_path / "x.bin")
+        c = generate_dataset(small_cfg(p_max=2.0), 1)
+        with pytest.raises(ValueError, match="sample 1 has p_max 2.0, expected 1.0"):
+            write_dataset(a + c, tmp_path / "x.bin")
+
+    def test_power_budget_roundtrip(self, tmp_path):
+        p = tmp_path / "p.bin"
+        write_dataset(generate_dataset(small_cfg(p_max=4.0), 2), p)
+        assert p.read_bytes()[20:28] == struct.pack("<d", 4.0)
+        assert [s.scenario.p_max for s in read_dataset(p)] == [4.0, 4.0]
+
+    def test_version_1_loads_with_unit_power_budget(self, tmp_path):
+        samples = generate_dataset(small_cfg(p_max=4.0), 2)
+        p = tmp_path / "v1.bin"
+        write_dataset(samples, p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:20] + raw[28:])
+        back = read_dataset(p)
+        assert [s.scenario.p_max for s in back] == [1.0, 1.0]
+        np.testing.assert_array_equal(back[1].scenario.channels, samples[1].scenario.channels)
+
+    @pytest.mark.parametrize("p_max", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_stored_power_budget_reported(self, tmp_path, p_max):
+        p = tmp_path / "p.bin"
+        write_dataset(generate_dataset(small_cfg(), 1), p)
+        raw = p.read_bytes()
+        p.write_bytes(raw[:20] + struct.pack("<d", p_max) + raw[28:])
+        with pytest.raises(DatasetFormatError, match="p_max .* is not finite and positive"):
+            read_dataset(p)
 
     def test_bad_magic_reported(self, tmp_path):
         p = tmp_path / "bad.bin"
@@ -314,9 +343,9 @@ class TestDatasetFiles:
         p = tmp_path / "f.bin"
         write_dataset(generate_dataset(small_cfg(n_pairs=3), 2), p)
         raw = bytearray(p.read_bytes())
-        # Header 20 bytes, then sample 0: TX and RX xy (2 * 24 bytes),
+        # Header 28 bytes, then sample 0: TX and RX xy (2 * 24 bytes),
         # then the channels.
-        raw[68:72] = np.array([np.nan], dtype="<f4").tobytes()
+        raw[76:80] = np.array([np.nan], dtype="<f4").tobytes()
         p.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="non-finite value in sample 0 channels"):
             read_dataset(p)

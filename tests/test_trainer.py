@@ -63,6 +63,8 @@ class TestConfig:
             TrainConfig(arch=arch, eval_every=0)
         with pytest.raises(ValueError, match="select_on"):
             TrainConfig(arch=arch, select_on="val")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(arch=arch, seed=-1)
 
     def test_zero_lr_allowed(self):
         TrainConfig(arch=MpgnnArch(n_tx_antennas=2), lr=0.0)

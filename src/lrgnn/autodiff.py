@@ -338,23 +338,18 @@ def maximum(a, b):
     return Tensor._make(out_data, (a, b), bw)
 
 
-def concat(parts, axis: int = 1):
-    """Concatenate along `axis`; parts may mix Tensor and ndarray."""
-    if Tensor not in map(type, parts):
-        return np.concatenate(parts, axis=axis)
-    tensors = [p if isinstance(p, Tensor) else Tensor(p) for p in parts]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+def row_slice(x, start: int, stop: int):
+    """Rows start:stop of `x`, as a view on the plain path; the gradient
+    is added into those rows only."""
+    if not isinstance(x, Tensor):
+        return x[start:stop]
 
     def bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[start:stop] += g
 
-    return Tensor._make(out_data, tuple(tensors), bw)
+    return Tensor._make(x.data[start:stop], (x,), bw)
 
 
 def gather_rows(x, idx: np.ndarray):

@@ -350,8 +350,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, FormatError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, FormatError, FloatingPointError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

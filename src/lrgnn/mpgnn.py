@@ -6,9 +6,13 @@ learned representation of the same length. Per round, every vertex
 max-aggregates MLP-transformed messages from its in-neighbors, feeds
 [own state ; aggregate] through a second MLP, and squashes the result
 with a sigmoid into the new hidden part. One MLP pair is shared across
-all rounds. The readout maps hidden from (0,1) to (-1,1), reads the
-halves as Re/Im of a complex vector, and radially projects onto the
-power ball, so every output satisfies ||q_n||^2 <= p_max.
+all rounds. Both first layers are linear in their concatenated inputs,
+so they run split at the input blocks: the fixed and edge terms are
+computed once per forward pass (round_terms), and a round projects
+only hidden, on vertex rows, before gathering it to the edges. The
+readout maps hidden from (0,1) to (-1,1), reads the halves as Re/Im of
+a complex vector, and radially projects onto the power ball, so every
+output satisfies ||q_n||^2 <= p_max.
 
 User weights and noise powers ride along on the graph for the
 objective; they are not part of the MLP-visible state (the MLP input
@@ -24,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import concat, gather_rows, group_keys, maximum, scatter_max, sigmoid, sqrt, square, tsum, value
+from .autodiff import gather_rows, group_keys, maximum, relu, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
 from .binio import ByteReader, FormatError
 from .nn import DenseLinear, LowRankLinear, Mlp
 from .scenario import Graph, merge_complex
@@ -114,10 +118,6 @@ class MpgnnParams:
     def flat(self) -> list:
         return self.mlp1.params() + self.mlp2.params()
 
-    @property
-    def kind(self) -> str:
-        return self.mlp1.layers[0].kind
-
 
 def init_params(arch: MpgnnArch, seed: int) -> MpgnnParams:
     """Fan-based uniform init, deterministic in the seed.
@@ -187,41 +187,69 @@ def count_model_params(arch: MpgnnArch, include_bias: bool = True) -> ParamCount
     return param_counts(arch.n_tx_antennas, ranks, include_bias)
 
 
-def layer_step(states: tuple, graph: Graph, params: MpgnnParams, groups: tuple | None = None) -> tuple:
+class RoundTerms(NamedTuple):
+    """What one forward pass's rounds share: the first layers' fixed and
+    edge terms, their first factors' other row blocks, the MLP tails and
+    the grouped edge targets (None without edges, as is msg_const)."""
+
+    groups: tuple | None
+    msg_const: object  # per edge: the fixed_j and e_jn terms of MLP1's first layer
+    msg_hidden: object
+    upd_const: object  # per vertex: the fixed_n term of MLP2's first layer
+    upd_hidden: object
+    upd_agg: object
+    tail1: Mlp  # MLP1 after its first layer and ReLU
+    tail2: Mlp
+
+
+def round_terms(fixed, graph: Graph, params: MpgnnParams) -> RoundTerms:
+    """RoundTerms of a forward pass over `graph` with fixed states `fixed`."""
+    w = fixed.shape[1]
+    f1, f2 = params.mlp1.layers[0].first, params.mlp2.layers[0].first
+    groups = msg_const = None
+    if graph.edges.shape[0]:
+        groups = group_keys(graph.edges[:, 1])
+        fixed_j = gather_rows(fixed @ row_slice(f1, 0, w), graph.edges[:, 0])
+        msg_const = fixed_j + graph.edge_features @ row_slice(f1, 2 * w, 3 * w)
+    tail1 = Mlp(params.mlp1.layers[1:], output_activation="relu")
+    tail2 = Mlp(params.mlp2.layers[1:], output_activation=None)
+    upd = [row_slice(f2, lo, hi) for lo, hi in ((0, w), (w, 2 * w), (2 * w, f2.shape[0]))]
+    return RoundTerms(groups, msg_const, row_slice(f1, w, 2 * w), fixed @ upd[0], upd[1], upd[2], tail1, tail2)
+
+
+def layer_step(states: tuple, graph: Graph, params: MpgnnParams, terms: RoundTerms | None = None) -> tuple:
     """One message-passing round.
 
     states is (fixed, hidden). For each vertex n: messages
     MLP1([x_j ; e_jn]) over in-neighbors j, elementwise-max aggregated
     (zero vector if there are none), then hidden_n := sigmoid(
     MLP2([x_n ; aggregate])). The fixed half passes through unchanged.
-    groups, if given, is group_keys of the edge targets, shared by the
-    rounds of one forward pass.
-    """
+    terms (round_terms of the pass, computed here if None) holds the
+    fixed and edge terms, so a round projects only hidden, on vertex
+    rows, and gathers that projection (64 or rank1 wide) to the edges."""
     fixed, hidden = states
-    n = graph.n_vertices
-    if graph.edges.shape[0]:
-        src = graph.edges[:, 0]
-        dst = graph.edges[:, 1]
-        inputs = concat([gather_rows(fixed, src), gather_rows(hidden, src), graph.edge_features])
-        agg = scatter_max(params.mlp1(inputs), dst, n, groups)
-    else:
-        agg = np.zeros((n, params.mlp1.layers[-1].d_out))
-    y = params.mlp2(concat([fixed, hidden, agg]))
-    return fixed, sigmoid(y)
+    t = round_terms(fixed, graph, params) if terms is None else terms
+    z = t.upd_const + hidden @ t.upd_hidden
+    if t.groups is not None:
+        msg_first = t.msg_const + gather_rows(hidden @ t.msg_hidden, graph.edges[:, 0])
+        msgs = t.tail1(relu(params.mlp1.layers[0].finish(msg_first)))
+        z = z + scatter_max(msgs, graph.edges[:, 1], graph.n_vertices, t.groups) @ t.upd_agg
+    return fixed, sigmoid(t.tail2(relu(params.mlp2.layers[0].finish(z))))
 
 
 def forward_real(graph: Graph, params: MpgnnParams, arch: MpgnnArch):
     """Run all rounds and the power projection; beamformers as stacked
     [Re | Im] rows. Returns an autodiff tensor when params hold tensors,
-    a plain ndarray otherwise (identical values either way)."""
+    a plain ndarray otherwise (identical values either way). Caches
+    nothing: callers update parameters in place between calls."""
     nt = arch.n_tx_antennas
     if graph.n_tx_antennas != nt:
         raise ValueError(f"graph carries Nt={graph.n_tx_antennas}, model expects {nt}")
     fixed = graph.vertex_features[:, : 2 * nt]
     states = (fixed, np.zeros((graph.n_vertices, 2 * nt)))
-    groups = group_keys(np.asarray(graph.edges[:, 1], dtype=np.intp)) if graph.edges.shape[0] else None
+    terms = round_terms(fixed, graph, params)
     for _ in range(arch.n_rounds):
-        states = layer_step(states, graph, params, groups)
+        states = layer_step(states, graph, params, terms)
     v = 2.0 * states[1] - 1.0
     root_p = float(np.sqrt(arch.p_max))
     norm = sqrt(tsum(square(v), axis=1, keepdims=True))

@@ -4,8 +4,9 @@ Layers are thin containers around their parameter arrays and work
 unchanged whether those arrays are plain ndarrays (fast inference path)
 or autodiff Tensors (training path); the arithmetic is identical either
 way, so both paths produce bit-equal outputs. Every layer carries a
-bias. Parameter counts come from the layer shapes alone
-(mpgnn.param_counts), not from layer objects.
+bias and computes finish(x @ first), `first` being W.T or U: a caller
+may split it by input rows and sum the blocks' products. Parameter
+counts come from the layer shapes alone (mpgnn.param_counts).
 """
 
 from __future__ import annotations
@@ -57,8 +58,15 @@ class DenseLinear:
     def params(self) -> list:
         return [self.weight, self.bias]
 
+    @property
+    def first(self):
+        return self.weight.T
+
+    def finish(self, z):
+        return z + self.bias
+
     def __call__(self, x):
-        return x @ self.weight.T + self.bias
+        return self.finish(x @ self.first)
 
 
 class LowRankLinear:
@@ -114,8 +122,15 @@ class LowRankLinear:
     def params(self) -> list:
         return [self.u, self.v, self.bias]
 
+    @property
+    def first(self):
+        return self.u
+
+    def finish(self, z):
+        return z @ self.v + self.bias
+
     def __call__(self, x):
-        return (x @ self.u) @ self.v + self.bias
+        return self.finish(x @ self.first)
 
 
 class Mlp:

@@ -5,11 +5,11 @@ import pytest
 
 from lrgnn.autodiff import (
     Tensor,
-    concat,
     gather_rows,
     log1p,
     maximum,
     relu,
+    row_slice,
     scatter_max,
     scatter_sum,
     sigmoid,
@@ -147,23 +147,28 @@ class TestStructuralOps:
     def setup_method(self):
         self.rng = np.random.default_rng(5)
 
-    def test_concat_axis1(self):
+    def test_row_slice_blocks_of_one_tensor(self):
+        x = self.rng.normal(size=(6, 3))
         a = self.rng.normal(size=(3, 2))
-        b = self.rng.normal(size=(3, 4))
-        check_grad(lambda t: tsum(square(concat([t, b]))), a)
-        check_grad(lambda t: tsum(square(concat([a, t]))), b)
+        c = self.rng.normal(size=(3, 3))
+        g = check_grad(lambda t: tsum(square(row_slice(t, 0, 2) @ a)) + tsum(row_slice(t, 3, 6) * c), x)
+        # Row 2 lies in neither block.
+        np.testing.assert_array_equal(g[2], np.zeros(3))
+        np.testing.assert_array_equal(g[3:], c)
+        # Blocks add onto a gradient that a full-size use started.
+        check_grad(lambda t: tsum(square(t)) + tsum(square(row_slice(t, 1, 4) @ a)), x)
 
-    def test_concat_axis0(self):
+    def test_row_slice_of_transposed_tensor(self):
         a = self.rng.normal(size=(2, 3))
-        check_grad(lambda t: tsum(square(concat([t, a], axis=0))), a.copy())
+        check_grad(lambda t: tsum(square(a @ row_slice(t.T, 1, 4))), self.rng.normal(size=(3, 5)))
 
-    def test_concat_mixed_constant_parts(self):
-        a = self.rng.normal(size=(3, 2))
-        const = self.rng.normal(size=(3, 3))
-        t = Tensor(a, requires_grad=True)
-        out = tsum(concat([const, t, const]))
-        out.backward()
-        np.testing.assert_array_equal(t.grad, np.ones_like(a))
+    def test_row_slice_plain_path_is_a_view(self):
+        x = self.rng.normal(size=(5, 4))
+        assert np.shares_memory(row_slice(x, 1, 3), x)
+        assert np.shares_memory(row_slice(x.T, 0, 2), x)
+        np.testing.assert_array_equal(row_slice(x, 1, 3), x[1:3])
+        t = Tensor(x, requires_grad=True)
+        assert np.shares_memory(row_slice(t, 1, 3).data, x)
 
     def test_gather_rows_accumulates_repeats(self):
         x = self.rng.normal(size=(4, 3))

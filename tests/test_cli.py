@@ -122,6 +122,24 @@ class TestGenData:
         rc = main(["gen-data", "--out", str(tmp_path), "--train", "0"])
         assert rc == 1
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 58.2 TiB for an array with shape (2000000, 2000000, 2)",
+         "error: Unable to allocate 58.2 TiB for an array with shape (2000000, 2000000, 2)\n"),
+        ("", "error: MemoryError\n"),
+    ])
+    def test_allocation_failure_is_one_line_error(self, tmp_path, capsys, monkeypatch, message, line):
+        # --pairs 2000000 makes numpy ask for 58.2 TiB; the stand-in raises
+        # the same MemoryError without allocating anything.
+        def too_big(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("lrgnn.cli.generate_dataset", too_big)
+        rc = main(["gen-data", "--out", str(tmp_path / "o"), "--pairs", "2000000",
+                   "--train", "1", "--test", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "o" / "train.bin").exists()
+
 
 class TestTrain:
     def test_dense_run_outputs(self, model_dir):

@@ -6,11 +6,14 @@ import struct
 import numpy as np
 import pytest
 
+from lrgnn.autodiff import Tensor
 from lrgnn.mpgnn import (
+    MSG_DIM,
     ModelFormatError,
     MpgnnArch,
     count_model_params,
     forward,
+    forward_real,
     init_params,
     layer_step,
     load_model,
@@ -19,7 +22,8 @@ from lrgnn.mpgnn import (
     save_model,
 )
 from lrgnn.nn import glorot_uniform
-from lrgnn.scenario import Scenario, ScenarioConfig, build_graph, generate_scenario, graph_from_edges
+from lrgnn.scenario import Scenario, ScenarioConfig, build_graph, generate_dataset, generate_scenario, graph_from_edges
+from lrgnn.trainer import _union
 
 
 def random_case(seed, n=4, nt=3, threshold=1500.0):
@@ -221,6 +225,64 @@ class TestForward:
         qd = forward(g, init_params(dense, 0), dense)
         ql = forward(g, init_params(lr, 0), lr)
         assert qd.shape == ql.shape == (4, 3)
+
+
+def per_edge_reference(graph, params, arch):
+    """forward_real in plain numpy, without the split first layers: each
+    round feeds the concatenated per-edge input [fixed_j | hidden_j |
+    e_jn] to MLP1 and [fixed_n | hidden_n | agg_n] to MLP2."""
+    nt = arch.n_tx_antennas
+    fixed = graph.vertex_features[:, : 2 * nt]
+    hidden = np.zeros_like(fixed)
+    src, dst = graph.edges[:, 0], graph.edges[:, 1]
+    for _ in range(arch.n_rounds):
+        agg = np.zeros((graph.n_vertices, MSG_DIM))
+        if src.size:
+            msgs = params.mlp1(np.concatenate([fixed[src], hidden[src], graph.edge_features], axis=1))
+            np.maximum.at(agg, dst, msgs)  # messages are >= 0, so 0 is neutral
+        y = params.mlp2(np.concatenate([fixed, hidden, agg], axis=1))
+        hidden = 1.0 / (1.0 + np.exp(-np.clip(y, -500.0, 500.0)))
+    v = 2.0 * hidden - 1.0
+    root_p = np.sqrt(arch.p_max)
+    return v * (root_p / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), root_p))
+
+
+class TestSplitFirstLayers:
+    """forward_real against the per-edge formulation it replaces."""
+
+    NT = 3
+
+    @pytest.fixture(params=["dense", (2, 2), (16, 4)], ids=["dense", "lr2-2", "lr16-4"])
+    def model(self, request):
+        kind = request.param
+        if kind == "dense":
+            arch = MpgnnArch(n_tx_antennas=self.NT, p_max=2.0)
+        else:
+            arch = MpgnnArch(self.NT, "low_rank", *kind, p_max=2.0)
+        params = init_params(arch, 4)
+        rng = np.random.default_rng(5)
+        for a in params.flat():  # non-zero biases, so their terms count too
+            a += 0.1 * rng.normal(size=a.shape)
+        return arch, params
+
+    @pytest.fixture(params=["one", "union16", "no-edges"])
+    def graph(self, request):
+        threshold = 1e-6 if request.param == "no-edges" else 1500.0
+        cfg = ScenarioConfig(n_pairs=5, n_tx_antennas=self.NT, edge_threshold=threshold, seed=8)
+        samples = generate_dataset(cfg, 16 if request.param == "union16" else 1)
+        graph, _ = _union([g for _, g in samples])
+        assert (graph.edges.shape[0] == 0) == (request.param == "no-edges")
+        return graph
+
+    def test_plain_and_taped_match_per_edge_reference(self, model, graph):
+        arch, params = model
+        want = per_edge_reference(graph, params, arch)
+        scale = np.max(np.abs(want))
+        plain = forward_real(graph, params, arch)
+        np.testing.assert_allclose(plain, want, rtol=1e-12, atol=1e-12 * scale)
+        tensors = [Tensor(a, requires_grad=True) for a in params.flat()]
+        taped = forward_real(graph, rebuild_params(arch, tensors), arch)
+        np.testing.assert_array_equal(taped.data, plain)
 
 
 class TestModelFiles:

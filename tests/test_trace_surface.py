@@ -49,3 +49,12 @@ def test_tracer_records_the_mlp_spans(tracer):
     # The direct MLP2 call is a top-level span of its own.
     assert tracer.spans[-1][1] is None and tracer.spans[-1][2] == "nn.mlp2"
 
+    # The first layers run split outside the Mlp calls; what the spans
+    # see is each MLP's tail, on one row per edge (MLP1) or per vertex
+    # (MLP2), once per round, with the FLOPs of the tail layer alone.
+    in_forward = tracer.spans[:-1]
+    e, v = graph.edges.shape[0], graph.n_vertices
+    for name, rows, (d_in, d_out) in (("nn.mlp1", e, arch.mlp1_dims[1:]), ("nn.mlp2", v, arch.mlp2_dims[1:])):
+        attrs = [s[5] for s in in_forward if s[2] == name]
+        assert len(attrs) == arch.n_rounds
+        assert all(a == {"rows": rows, "flops": 2 * rows * d_in * d_out} for a in attrs)

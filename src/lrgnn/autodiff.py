@@ -6,9 +6,11 @@ back to its inputs. Graphs are built implicitly by doing arithmetic on
 topological order. Tensors that do not require gradients short-circuit
 the bookkeeping, so the same code path doubles as a plain-numpy forward.
 
-The dispatch helpers at the bottom (``relu``, ``sigmoid``, ...) accept
-either ``Tensor`` or ``ndarray`` and run the identical numpy kernels, so
-taped and untaped evaluations are bit-identical.
+Operators are ``Tensor`` methods. Every other op (``relu``, ``sigmoid``,
+``tsum``, ``gather_rows``, ...) is a module function that accepts either
+a ``Tensor`` or an ``ndarray``, runs the identical numpy kernel on both,
+and records its backward closure only for a ``Tensor``, so taped and
+untaped evaluations are bit-identical.
 """
 
 from __future__ import annotations
@@ -179,9 +181,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), bw)
 
-    def __rsub__(self, other):
-        return Tensor(other) - self
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other.data
@@ -237,88 +236,76 @@ class Tensor:
 
         return Tensor._make(self.data.T, (self,), bw)
 
-    # -- elementwise nonlinearities -------------------------------------------
-
-    def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def bw(g):
-            self._accumulate(g * (self.data > 0.0))
-
-        return Tensor._make(out_data, (self,), bw)
-
-    def sigmoid(self) -> "Tensor":
-        s = _sigmoid_raw(self.data)
-
-        def bw(g):
-            self._accumulate(g * s * (1.0 - s))
-
-        return Tensor._make(s, (self,), bw)
-
-    def log1p(self) -> "Tensor":
-        def bw(g):
-            self._accumulate(g / (1.0 + self.data))
-
-        return Tensor._make(np.log1p(self.data), (self,), bw)
-
-    def sqrt(self) -> "Tensor":
-        root = np.sqrt(self.data)
-
-        def bw(g):
-            self._accumulate(g * (0.5 / root))
-
-        return Tensor._make(root, (self,), bw)
-
-    def square(self) -> "Tensor":
-        def bw(g):
-            self._accumulate(g * (2.0 * self.data))
-
-        return Tensor._make(self.data * self.data, (self,), bw)
-
-    # -- reductions and structure ----------------------------------------------
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = np.add.reduce(self.data, axis=axis, keepdims=keepdims)
-
-        def bw(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
-
-        return Tensor._make(out_data, (self,), bw)
-
 
 # ---------------------------------------------------------------------------
-# Functions over Tensor or ndarray. Each pair of branches runs the same
-# numpy kernel, keeping taped and plain evaluations bit-identical.
+# Functions over Tensor or ndarray. Both paths run the same numpy kernel,
+# keeping taped and plain evaluations bit-identical.
 # ---------------------------------------------------------------------------
 
 
 def relu(x):
-    return x.relu() if isinstance(x, Tensor) else np.maximum(x, 0.0)
+    if not isinstance(x, Tensor):
+        return np.maximum(x, 0.0)
+
+    def bw(g):
+        x._accumulate(g * (x.data > 0.0))
+
+    return Tensor._make(np.maximum(x.data, 0.0), (x,), bw)
 
 
 def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Tensor) else _sigmoid_raw(x)
+    if not isinstance(x, Tensor):
+        return _sigmoid_raw(x)
+    s = _sigmoid_raw(x.data)
+
+    def bw(g):
+        x._accumulate(g * s * (1.0 - s))
+
+    return Tensor._make(s, (x,), bw)
 
 
 def log1p(x):
-    return x.log1p() if isinstance(x, Tensor) else np.log1p(x)
+    if not isinstance(x, Tensor):
+        return np.log1p(x)
+
+    def bw(g):
+        x._accumulate(g / (1.0 + x.data))
+
+    return Tensor._make(np.log1p(x.data), (x,), bw)
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
+    if not isinstance(x, Tensor):
+        return np.sqrt(x)
+    root = np.sqrt(x.data)
+
+    def bw(g):
+        x._accumulate(g * (0.5 / root))
+
+    return Tensor._make(root, (x,), bw)
 
 
 def square(x):
-    return x.square() if isinstance(x, Tensor) else x * x
+    if not isinstance(x, Tensor):
+        return x * x
+
+    def bw(g):
+        x._accumulate(g * (2.0 * x.data))
+
+    return Tensor._make(x.data * x.data, (x,), bw)
 
 
 def tsum(x, axis=None, keepdims: bool = False):
     # np.add.reduce is np.sum without its Python wrapper; same kernel.
-    if isinstance(x, Tensor):
-        return x.sum(axis=axis, keepdims=keepdims)
-    return np.add.reduce(x, axis=axis, keepdims=keepdims)
+    if not isinstance(x, Tensor):
+        return np.add.reduce(x, axis=axis, keepdims=keepdims)
+
+    def bw(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accumulate(np.broadcast_to(g, x.data.shape))
+
+    return Tensor._make(np.add.reduce(x.data, axis=axis, keepdims=keepdims), (x,), bw)
 
 
 def maximum(a, b):

@@ -166,12 +166,14 @@ def cmd_gen_data(args) -> int:
     if resolved["train"] < 1 or resolved["test"] < 0:
         raise ValueError("need at least 1 training sample and >= 0 test samples")
     cfg = ScenarioConfig(**_library_kwargs(ScenarioConfig, resolved))
-    os.makedirs(args.out, exist_ok=True)
     # Disjoint per-sample seed index ranges keep the splits isolated.
     train = generate_dataset(cfg, resolved["train"], first_index=0)
+    test = generate_dataset(cfg, resolved["test"], first_index=resolved["train"])
+    # Each command creates --out at its first write, so a command that
+    # fails earlier leaves no new directory.
+    os.makedirs(args.out, exist_ok=True)
     write_dataset(train, os.path.join(args.out, "train.bin"))
-    if resolved["test"]:
-        test = generate_dataset(cfg, resolved["test"], first_index=resolved["train"])
+    if test:
         write_dataset(test, os.path.join(args.out, "test.bin"))
     _write_echo(os.path.join(args.out, "gen_config.json"), resolved)
     print(f"wrote {resolved['train']} train / {resolved['test']} test samples "
@@ -191,9 +193,10 @@ def cmd_train(args) -> int:
     kind, rank1, rank2 = _parse_ranks(resolved["ranks"])
     arch = MpgnnArch(n_tx_antennas=nt, kind=kind, rank1=rank1, rank2=rank2, p_max=resolved["p_max"])
 
-    os.makedirs(args.out, exist_ok=True)
     cfg = trainer.TrainConfig(arch=arch, checkpoint_path=os.path.join(args.out, "model.bin"),
                               **_library_kwargs(trainer.TrainConfig, resolved))
+    # Before training, so an unusable --out fails fast.
+    os.makedirs(args.out, exist_ok=True)
     params, report = trainer.train(train_set, cfg, test_set)
     trainer.write_train_report(report, os.path.join(args.out, "train_report.csv"))
     _write_echo(os.path.join(args.out, "train_config.json"), resolved)
@@ -246,11 +249,11 @@ def _model_stem(path) -> str:
 
 
 def cmd_analyze(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     if args.mode in ("size-table", "p-heatmap"):
         grid = compression.size_ratio_table(args.nt)
         name = "size_table.csv" if args.mode == "size-table" else "p_heatmap.csv"
         path = os.path.join(args.out, name)
+        os.makedirs(args.out, exist_ok=True)
         if args.mode == "size-table":
             compression.write_size_table(grid, path)
         else:
@@ -263,9 +266,12 @@ def cmd_analyze(args) -> int:
     stem = _model_stem(args.model)
     if args.mode == "weights-hist":
         path = os.path.join(args.out, f"weights_hist_{stem}.csv")
-        compression.write_weight_histogram(compression.weight_histogram(params, args.bins), path)
+        report = compression.weight_histogram(params, args.bins)
+        os.makedirs(args.out, exist_ok=True)
+        compression.write_weight_histogram(report, path)
     else:  # svals
         path = os.path.join(args.out, f"svals_{stem}.csv")
+        os.makedirs(args.out, exist_ok=True)
         compression.write_singular_values(params, path)
     print(f"wrote {path}")
     return 0

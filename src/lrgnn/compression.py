@@ -21,7 +21,7 @@ import numpy as np
 from scipy import stats
 
 from .mpgnn import MpgnnParams, param_counts
-from .nn import DenseLinear
+from .nn import layer_shapes
 
 # The rank grid used by the size-ratio analyses.
 TABLE_A1 = (4, 16, 32, 64)
@@ -118,15 +118,11 @@ class HistogramReport:
 def weight_matrices(params: MpgnnParams) -> list[tuple[str, np.ndarray]]:
     """Named weight matrices (biases excluded): W for dense layers,
     U and V for factorized ones."""
-    out = []
-    for mlp_name, mlp in (("mlp1", params.mlp1), ("mlp2", params.mlp2)):
-        for i, layer in enumerate(mlp.layers):
-            if isinstance(layer, DenseLinear):
-                out.append((f"{mlp_name}.{i}.W", np.asarray(layer.weight)))
-            else:
-                out.append((f"{mlp_name}.{i}.U", np.asarray(layer.u)))
-                out.append((f"{mlp_name}.{i}.V", np.asarray(layer.v)))
-    return out
+    return [(f"{mlp_name}.{i}.{name}", np.asarray(a))
+            for mlp_name, mlp in (("mlp1", params.mlp1), ("mlp2", params.mlp2))
+            for i, layer in enumerate(mlp.layers)
+            for name, a in zip(layer_shapes(layer.d_in, layer.d_out, layer.rank), layer.params())
+            if name != "bias"]
 
 
 def _stats(name: str, flat: np.ndarray, edges: np.ndarray) -> MatrixStats:
@@ -190,7 +186,7 @@ def layer_spectra(params: MpgnnParams) -> list[tuple[str, np.ndarray, np.ndarray
     out = []
     for mlp_name, mlp in (("mlp1", params.mlp1), ("mlp2", params.mlp2)):
         for i, layer in enumerate(mlp.layers):
-            w = np.asarray(layer.weight) if isinstance(layer, DenseLinear) else layer.effective_weight()
+            w = layer.effective_weight()
             eig = None
             if w.shape[0] == w.shape[1]:
                 eig = np.sort(np.abs(np.linalg.eigvals(w)))[::-1]

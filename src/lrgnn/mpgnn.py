@@ -30,7 +30,7 @@ import numpy as np
 
 from .autodiff import gather_rows, group_keys, maximum, relu, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
 from .binio import ByteReader, FormatError
-from .nn import DenseLinear, LowRankLinear, Mlp
+from .nn import DenseLinear, LowRankLinear, Mlp, init_layer, layer_shapes
 from .scenario import Graph, merge_complex
 
 MODEL_MAGIC = b"LRGM"
@@ -51,6 +51,15 @@ def mlp_dims(n_tx_antennas: int) -> tuple[list, list]:
     """(MLP1 dims, MLP2 dims) as functions of the antenna count."""
     nt = n_tx_antennas
     return [6 * nt, MSG_DIM, MSG_DIM], [MSG_DIM + 4 * nt, MLP2_HIDDEN, 2 * nt]
+
+
+def layer_dims(n_tx_antennas: int, ranks: tuple | None = None) -> list:
+    """(d_in, d_out, rank) of each layer in flat() order: MLP1's two
+    layers, then MLP2's. ranks is None for dense layers (rank None) or
+    (rank1, rank2), rank1 for both MLP1 layers and rank2 for MLP2's."""
+    (in1, hid1, out1), (in2, hid2, out2) = mlp_dims(n_tx_antennas)
+    r1, r2 = ranks or (None, None)
+    return [(in1, hid1, r1), (hid1, out1, r1), (in2, hid2, r2), (hid2, out2, r2)]
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,11 @@ class MpgnnArch:
                 raise ValueError(f"rank2 must be <= {cap2} at Nt={self.n_tx_antennas}, got {self.rank2}")
 
     @property
+    def ranks(self) -> tuple | None:
+        """None for dense, else (rank1, rank2), as layer_dims takes them."""
+        return None if self.kind == "dense" else (self.rank1, self.rank2)
+
+    @property
     def mlp1_dims(self) -> list:
         return mlp_dims(self.n_tx_antennas)[0]
 
@@ -126,31 +140,18 @@ def init_params(arch: MpgnnArch, seed: int) -> MpgnnParams:
     low-rank layers draw U then V. Biases are zeros (no draws).
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    if arch.kind == "dense":
-        mlp1 = Mlp.dense(rng, arch.mlp1_dims, output_activation="relu")
-        mlp2 = Mlp.dense(rng, arch.mlp2_dims, output_activation=None)
-    else:
-        mlp1 = Mlp.low_rank(rng, arch.mlp1_dims, [arch.rank1] * 2, output_activation="relu")
-        mlp2 = Mlp.low_rank(rng, arch.mlp2_dims, [arch.rank2] * 2, output_activation=None)
-    return MpgnnParams(mlp1, mlp2)
+    dims = layer_dims(arch.n_tx_antennas, arch.ranks)
+    return rebuild_params(arch, [a for d in dims for a in init_layer(rng, *d)])
 
 
 def rebuild_params(arch: MpgnnArch, arrays: list) -> MpgnnParams:
     """Assemble MpgnnParams around existing arrays (ndarrays or autodiff
     tensors), in the flat() order."""
-    it = iter(arrays)
-
-    def layer():
-        if arch.kind == "dense":
-            return DenseLinear(next(it), next(it))
-        return LowRankLinear(next(it), next(it), next(it))
-
-    mlp1 = Mlp([layer(), layer()], output_activation="relu")
-    mlp2 = Mlp([layer(), layer()], output_activation=None)
-    leftovers = sum(1 for _ in it)
-    if leftovers:
-        raise ValueError(f"{leftovers} unused parameter arrays")
-    return MpgnnParams(mlp1, mlp2)
+    cls, n = (DenseLinear, 2) if arch.kind == "dense" else (LowRankLinear, 3)
+    if len(arrays) != 4 * n:
+        raise ValueError(f"{len(arrays)} parameter arrays for {4 * n} slots; none may be missing or unused")
+    layers = [cls(*arrays[i : i + n]) for i in range(0, 4 * n, n)]
+    return MpgnnParams(Mlp(layers[:2], output_activation="relu"), Mlp(layers[2:], output_activation=None))
 
 
 class ParamCounts(NamedTuple):
@@ -160,8 +161,9 @@ class ParamCounts(NamedTuple):
 
 
 def param_counts(n_tx_antennas: int, ranks: tuple | None = None, include_bias: bool = True) -> ParamCounts:
-    """Parameter counts per MLP and total, from the shapes in mlp_dims
-    (MLPs shared across rounds, counted once).
+    """Parameter counts per MLP and total: the sizes of the arrays
+    layer_shapes lists for layer_dims (MLPs shared across rounds,
+    counted once).
 
     ranks is None for dense layers, where a d_in -> d_out layer holds
     d_out*d_in weights, or (rank1, rank2), where it holds
@@ -170,21 +172,18 @@ def param_counts(n_tx_antennas: int, ranks: tuple | None = None, include_bias: b
     factorizations are countable: a legitimate object to measure,
     merely a useless one to train.
     """
-    counts = []
-    for dims, rank in zip(mlp_dims(n_tx_antennas), ranks or (None, None)):
-        n = 0
-        for d_in, d_out in zip(dims, dims[1:]):
-            n += d_out * d_in if rank is None else rank * (d_in + d_out)
-            if include_bias:
-                n += d_out
-        counts.append(n)
+    counts = [0, 0]
+    for k, dims in enumerate(layer_dims(n_tx_antennas, ranks)):
+        shapes = layer_shapes(*dims)
+        if not include_bias:
+            del shapes["bias"]
+        counts[k // 2] += sum(map(math.prod, shapes.values()))
     return ParamCounts(counts[0], counts[1], counts[0] + counts[1])
 
 
 def count_model_params(arch: MpgnnArch, include_bias: bool = True) -> ParamCounts:
     """param_counts of an architecture."""
-    ranks = None if arch.kind == "dense" else (arch.rank1, arch.rank2)
-    return param_counts(arch.n_tx_antennas, ranks, include_bias)
+    return param_counts(arch.n_tx_antennas, arch.ranks, include_bias)
 
 
 class RoundTerms(NamedTuple):
@@ -274,23 +273,13 @@ def forward(graph: Graph, params: MpgnnParams, arch: MpgnnArch) -> np.ndarray:
 
 
 def save_model(path, arch: MpgnnArch, params: MpgnnParams) -> None:
-    low_rank = arch.kind == "low_rank"
+    ranks = arch.ranks or (0, 0)
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
-        f.write(
-            struct.pack(
-                "<IIIII",
-                MODEL_VERSION,
-                1 if low_rank else 0,
-                arch.n_tx_antennas,
-                arch.rank1 if low_rank else 0,
-                arch.rank2 if low_rank else 0,
-            )
-        )
+        f.write(struct.pack("<IIIII", MODEL_VERSION, arch.ranks is not None, arch.n_tx_antennas, *ranks))
         f.write(struct.pack("<dI", arch.p_max, arch.n_rounds))
         for layer in params.mlp1.layers + params.mlp2.layers:
-            rank = layer.rank if low_rank else 0
-            f.write(struct.pack("<III", layer.d_in, layer.d_out, rank))
+            f.write(struct.pack("<III", layer.d_in, layer.d_out, layer.rank or 0))
             for a in layer.params():
                 f.write(value(a).astype("<f4").tobytes())
 
@@ -325,18 +314,12 @@ def load_model(path) -> tuple[MpgnnArch, MpgnnParams]:
     except ValueError as e:
         raise ModelFormatError(f"{path}: invalid architecture header: {e}") from e
 
-    dims = list(zip(arch.mlp1_dims, arch.mlp1_dims[1:])) + list(zip(arch.mlp2_dims, arch.mlp2_dims[1:]))
-    ranks = [arch.rank1, arch.rank1, arch.rank2, arch.rank2] if low_rank else [0, 0, 0, 0]
     arrays = []
-    for k, ((d_in, d_out), rank) in enumerate(zip(dims, ranks)):
+    for k, (d_in, d_out, rank) in enumerate(layer_dims(nt, arch.ranks)):
         got = struct.unpack("<III", r.take(12, f"layer {k} header"))
-        if got != (d_in, d_out, rank):
-            raise ModelFormatError(f"{path}: layer {k} header {got}, expected {(d_in, d_out, rank)}")
-        if low_rank:
-            arrays.append(r.f32(d_in * rank, f"layer {k} U").reshape(d_in, rank))
-            arrays.append(r.f32(rank * d_out, f"layer {k} V").reshape(rank, d_out))
-        else:
-            arrays.append(r.f32(d_out * d_in, f"layer {k} W").reshape(d_out, d_in))
-        arrays.append(r.f32(d_out, f"layer {k} bias"))
+        if got != (d_in, d_out, rank or 0):
+            raise ModelFormatError(f"{path}: layer {k} header {got}, expected {(d_in, d_out, rank or 0)}")
+        for name, shape in layer_shapes(d_in, d_out, rank).items():
+            arrays.append(r.f32(math.prod(shape), f"layer {k} {name}").reshape(shape))
     r.done()
     return arch, rebuild_params(arch, arrays)

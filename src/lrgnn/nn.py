@@ -5,15 +5,18 @@ unchanged whether those arrays are plain ndarrays (fast inference path)
 or autodiff Tensors (training path); the arithmetic is identical either
 way, so both paths produce bit-equal outputs. Every layer carries a
 bias and computes finish(x @ first), `first` being W.T or U: a caller
-may split it by input rows and sum the blocks' products. Parameter
-counts come from the layer shapes alone (mpgnn.param_counts).
+may split it by input rows and sum the blocks' products. layer_shapes
+names a layer's arrays and their shapes in params() order; init,
+parameter counts and model files all read it. A new layer is built
+around the arrays init_layer draws: DenseLinear(*init_layer(rng, d_in,
+d_out)) or LowRankLinear(*init_layer(rng, d_in, d_out, rank)).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, relu
+from .autodiff import relu, value
 
 _OUTPUT_ACTIVATIONS = (None, "relu")
 
@@ -24,36 +27,48 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-a, a, size=shape)
 
 
-def _dims_of(p) -> tuple:
-    return p.data.shape if isinstance(p, Tensor) else np.shape(p)
+def layer_shapes(d_in: int, d_out: int, rank: int | None = None) -> dict:
+    """Name -> shape of a d_in -> d_out layer's arrays, in params() order:
+    W (d_out, d_in) for a dense layer (rank None), or U (d_in, rank) and
+    V (rank, d_out) for a factorized one; then the bias (d_out,)."""
+    if rank is None:
+        return {"W": (d_out, d_in), "bias": (d_out,)}
+    return {"U": (d_in, rank), "V": (rank, d_out), "bias": (d_out,)}
+
+
+def init_layer(rng: np.random.Generator, d_in: int, d_out: int, rank: int | None = None) -> list:
+    """A layer's arrays in params() order: each weight drawn with
+    glorot_uniform over its own two dims (the bound is symmetric in
+    them), in order; the bias zero."""
+    return [np.zeros(shape) if name == "bias" else glorot_uniform(rng, *shape, shape)
+            for name, shape in layer_shapes(d_in, d_out, rank).items()]
 
 
 class DenseLinear:
     """y = x @ W.T + b with W of shape (d_out, d_in)."""
 
     kind = "dense"
+    rank = None
 
     def __init__(self, weight, bias):
-        w_shape = _dims_of(weight)
+        w_shape = value(weight).shape
         if len(w_shape) != 2:
             raise ValueError(f"weight must be 2-D, got shape {w_shape}")
-        if _dims_of(bias) != (w_shape[0],):
-            raise ValueError(f"bias shape {_dims_of(bias)} does not match d_out {w_shape[0]}")
+        if value(bias).shape != (w_shape[0],):
+            raise ValueError(f"bias shape {value(bias).shape} does not match d_out {w_shape[0]}")
         self.weight = weight
         self.bias = bias
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int) -> "DenseLinear":
-        w = glorot_uniform(rng, d_in, d_out, (d_out, d_in))
-        return cls(w, np.zeros(d_out))
-
     @property
     def d_in(self) -> int:
-        return _dims_of(self.weight)[1]
+        return value(self.weight).shape[1]
 
     @property
     def d_out(self) -> int:
-        return _dims_of(self.weight)[0]
+        return value(self.weight).shape[0]
+
+    def effective_weight(self) -> np.ndarray:
+        return value(self.weight)
 
     def params(self) -> list:
         return [self.weight, self.bias]
@@ -81,43 +96,33 @@ class LowRankLinear:
     kind = "low_rank"
 
     def __init__(self, u, v, bias):
-        u_shape, v_shape = _dims_of(u), _dims_of(v)
+        u_shape, v_shape = value(u).shape, value(v).shape
         if len(u_shape) != 2 or len(v_shape) != 2:
             raise ValueError(f"factors must be 2-D, got {u_shape} and {v_shape}")
         if u_shape[1] != v_shape[0]:
             raise ValueError(f"rank mismatch between factors: {u_shape} vs {v_shape}")
         if u_shape[1] < 1:
             raise ValueError("rank must be >= 1")
-        if _dims_of(bias) != (v_shape[1],):
-            raise ValueError(f"bias shape {_dims_of(bias)} does not match d_out {v_shape[1]}")
+        if value(bias).shape != (v_shape[1],):
+            raise ValueError(f"bias shape {value(bias).shape} does not match d_out {v_shape[1]}")
         self.u = u
         self.v = v
         self.bias = bias
 
-    @classmethod
-    def init(cls, rng: np.random.Generator, d_in: int, d_out: int, rank: int) -> "LowRankLinear":
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        u = glorot_uniform(rng, d_in, rank, (d_in, rank))
-        v = glorot_uniform(rng, rank, d_out, (rank, d_out))
-        return cls(u, v, np.zeros(d_out))
-
     @property
     def d_in(self) -> int:
-        return _dims_of(self.u)[0]
+        return value(self.u).shape[0]
 
     @property
     def d_out(self) -> int:
-        return _dims_of(self.v)[1]
+        return value(self.v).shape[1]
 
     @property
     def rank(self) -> int:
-        return _dims_of(self.u)[1]
+        return value(self.u).shape[1]
 
     def effective_weight(self) -> np.ndarray:
-        u = self.u.data if isinstance(self.u, Tensor) else self.u
-        v = self.v.data if isinstance(self.v, Tensor) else self.v
-        return (u @ v).T
+        return (value(self.u) @ value(self.v)).T
 
     def params(self) -> list:
         return [self.u, self.v, self.bias]
@@ -152,18 +157,6 @@ class Mlp:
                 raise ValueError(f"layer dims do not chain: {a.d_out} -> {b.d_in}")
         self.layers = layers
         self.output_activation = output_activation
-
-    @classmethod
-    def dense(cls, rng, dims: list, output_activation=None) -> "Mlp":
-        layers = [DenseLinear.init(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-        return cls(layers, output_activation)
-
-    @classmethod
-    def low_rank(cls, rng, dims: list, ranks: list, output_activation=None) -> "Mlp":
-        if len(ranks) != len(dims) - 1:
-            raise ValueError(f"need {len(dims) - 1} ranks, got {len(ranks)}")
-        layers = [LowRankLinear.init(rng, dims[i], dims[i + 1], ranks[i]) for i in range(len(dims) - 1)]
-        return cls(layers, output_activation)
 
     def params(self) -> list:
         return [p for layer in self.layers for p in layer.params()]

@@ -178,8 +178,8 @@ def merge_complex(x: np.ndarray) -> np.ndarray:
 
 
 def _snap_f32(a: np.ndarray) -> np.ndarray:
-    # Files hold float32; rounding once at generation makes write/read
-    # an identity in both directions.
+    # Files hold float32; rounding once before the first write makes
+    # write/read an identity in both directions.
     return a.astype(np.float32).astype(np.float64)
 
 

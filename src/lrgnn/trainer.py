@@ -31,7 +31,7 @@ from .autodiff import Tensor, value
 from .mpgnn import MpgnnArch, MpgnnParams, forward_real, init_params, rebuild_params, save_model
 from .nn import Adam
 from .objective import rate_graph, rate_report, wsr_from_real
-from .scenario import Graph
+from .scenario import Graph, _snap_f32
 
 _SELECT_MODES = ("test", "train")
 
@@ -91,13 +91,8 @@ def params_checksum(params: MpgnnParams) -> str:
     flat order. Matches what a saved model file stores."""
     h = hashlib.sha256()
     for a in params.flat():
-        data = a.data if isinstance(a, Tensor) else a
-        h.update(np.asarray(data).astype("<f4").tobytes())
+        h.update(value(a).astype("<f4").tobytes())
     return h.hexdigest()
-
-
-def _snap_f32(arrays: list) -> list:
-    return [a.astype(np.float32).astype(np.float64) for a in arrays]
 
 
 def _union(graphs) -> tuple[Graph, np.ndarray]:
@@ -259,7 +254,7 @@ def train(train_set, cfg: TrainConfig, test_set=None):
             best_epoch = epoch
             best_arrays = [a.copy() for a in arrays]
 
-    final = rebuild_params(cfg.arch, _snap_f32(best_arrays))
+    final = rebuild_params(cfg.arch, [_snap_f32(a) for a in best_arrays])
     report.best_epoch = best_epoch
     report.wall_time_s = time.perf_counter() - t0
     report.params_checksum = params_checksum(final)

@@ -388,6 +388,40 @@ class TestInspect:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFailureLeavesNoOutDir:
+    """A command creates --out at its first write; one that fails before
+    it leaves no new directory."""
+
+    def test_gen_data_unusable_channels(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        rc = main(["gen-data", "--out", str(out), "--antenna-gain-dbi", "-3200",
+                   "--train", "1", "--test", "0"])
+        assert rc == 1
+        assert not out.exists()
+
+    def test_analyze_without_model(self, tmp_path, capsys):
+        out = tmp_path / "A"
+        assert main(["analyze", "--mode", "svals", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--mode", "svals"],
+        ["analyze", "--mode", "weights-hist"],
+        ["eval", "--data", "unused.bin"],
+    ])
+    def test_missing_model_file(self, tmp_path, capsys, argv):
+        out = tmp_path / "A"
+        assert main(argv + ["--model", str(tmp_path / "nonexistent.bin"), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_analyze_too_many_bins(self, model_dir, tmp_path, capsys):
+        out = tmp_path / "A"
+        rc = main(["analyze", "--mode", "weights-hist", "--model", str(model_dir / "model.bin"),
+                   "--bins", "1000000000", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_layering_flag_beats_config(self, tmp_path):
         cfg = tmp_path / "gen.cfg"

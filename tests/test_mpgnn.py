@@ -1,5 +1,6 @@
 """GNN structure: architecture validation, symmetry, projection, files."""
 
+import hashlib
 import math
 import struct
 
@@ -111,6 +112,29 @@ class TestInitParams:
         rng = np.random.Generator(np.random.PCG64(11))
         expected = glorot_uniform(rng, 24, 64, (64, 24))
         np.testing.assert_array_equal(params.mlp1.layers[0].weight, expected)
+
+    # SHA-256 of init_params(arch, 7): each flat() array's repr(shape)
+    # then its little-endian f64 bytes; and of the file save_model writes.
+    LAYOUT_DIGESTS = {
+        None: ("24598314ef1fdc4fb00b2564ab65d99663f9e5db53b63579b479e27a2e7a6682",
+               "a57a328e42c56fac1159a3ec8034d9e5defde1488c1bd539ef0e9bf7a193ab49"),
+        (2, 3): ("35e02ea5b05c744ea836b79743c2fc037662e9f4643dd6414b32f9f62f4aac18",
+                 "c2c56b5ec971301b383ffec84558a1ca54d1e7df878f9a1ba4ef5548179b5bb9"),
+    }
+
+    @pytest.mark.parametrize("ranks", list(LAYOUT_DIGESTS))
+    def test_layout_digests_frozen(self, ranks, tmp_path):
+        # Pins every array's shape, order and draw, and the file layout,
+        # at Nt=4 for dense and LR(2,3).
+        arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
+        params = init_params(arch, 7)
+        h = hashlib.sha256()
+        for a in params.flat():
+            h.update(repr(a.shape).encode() + a.astype("<f8").tobytes())
+        save_model(tmp_path / "m.bin", arch, params)
+        init_hex, file_hex = self.LAYOUT_DIGESTS[ranks]
+        assert h.hexdigest() == init_hex
+        assert hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest() == file_hex
 
     def test_rebuild_rejects_leftovers(self):
         arch = MpgnnArch(n_tx_antennas=2)

@@ -1,11 +1,11 @@
-"""Layer arithmetic, parameter counting, initialization, and Adam."""
+"""Layer arithmetic, layer shapes, parameter counting, initialization, and Adam."""
 
 import numpy as np
 import pytest
 
 from lrgnn.autodiff import Tensor
 from lrgnn.mpgnn import MpgnnArch, count_model_params, init_params
-from lrgnn.nn import Adam, DenseLinear, LowRankLinear, Mlp, glorot_uniform
+from lrgnn.nn import Adam, DenseLinear, LowRankLinear, Mlp, glorot_uniform, init_layer, layer_shapes
 
 
 class TestDenseLinear:
@@ -50,14 +50,14 @@ class TestLowRankLinear:
     def test_matches_materialized_effective_weight(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
-            layer = LowRankLinear.init(rng, d_in=7, d_out=4, rank=2)
+            layer = LowRankLinear(*init_layer(rng, d_in=7, d_out=4, rank=2))
             dense = DenseLinear(layer.effective_weight(), layer.bias)
             x = rng.normal(size=(3, 7))
             np.testing.assert_allclose(layer(x), dense(x), rtol=1e-6, atol=1e-12)
 
     def test_rank_bounds(self):
         with pytest.raises(ValueError, match="rank"):
-            LowRankLinear.init(np.random.default_rng(0), 4, 4, rank=0)
+            LowRankLinear(*init_layer(np.random.default_rng(0), 4, 4, rank=0))
         with pytest.raises(ValueError, match="rank"):
             LowRankLinear(np.zeros((4, 0)), np.zeros((0, 4)), np.zeros(4))
         with pytest.raises(ValueError, match="rank mismatch"):
@@ -69,7 +69,7 @@ class TestLowRankLinear:
         # Ranks above min(d_in, d_out) cost parameters instead of saving
         # them, but the object stays well-defined (needed to measure the
         # full rank grid).
-        layer = LowRankLinear.init(np.random.default_rng(0), d_in=4, d_out=3, rank=10)
+        layer = LowRankLinear(*init_layer(np.random.default_rng(0), d_in=4, d_out=3, rank=10))
         assert layer.rank == 10
         assert layer.u.size + layer.v.size == 10 * 7
 
@@ -77,20 +77,20 @@ class TestLowRankLinear:
 class TestMlp:
     def test_dims_must_chain(self):
         rng = np.random.default_rng(0)
-        layers = [DenseLinear.init(rng, 3, 4), DenseLinear.init(rng, 5, 2)]
+        layers = [DenseLinear(*init_layer(rng, 3, 4)), DenseLinear(*init_layer(rng, 5, 2))]
         with pytest.raises(ValueError, match="chain"):
             Mlp(layers)
 
     def test_layers_must_share_kind(self):
         rng = np.random.default_rng(0)
-        layers = [DenseLinear.init(rng, 3, 4), LowRankLinear.init(rng, 4, 2, rank=1)]
+        layers = [DenseLinear(*init_layer(rng, 3, 4)), LowRankLinear(*init_layer(rng, 4, 2, rank=1))]
         with pytest.raises(ValueError, match="same kind"):
             Mlp(layers)
 
     def test_output_activation_validation(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="output_activation"):
-            Mlp([DenseLinear.init(rng, 2, 2)], output_activation="tanh")
+            Mlp([DenseLinear(*init_layer(rng, 2, 2))], output_activation="tanh")
 
     def test_relu_between_layers(self):
         # First layer produces a negative coordinate that ReLU must kill
@@ -111,7 +111,8 @@ class TestMlp:
     def test_forward_accepts_tensor_params(self):
         rng = np.random.default_rng(3)
         for activation in ("relu", None):
-            mlp = Mlp.dense(rng, [4, 3, 2], output_activation=activation)
+            mlp = Mlp([DenseLinear(*init_layer(rng, 4, 3)), DenseLinear(*init_layer(rng, 3, 2))],
+                      output_activation=activation)
             x = rng.normal(size=(5, 4))
             plain = mlp(x)
             taped_layers = [DenseLinear(Tensor(l.weight, requires_grad=True),
@@ -149,11 +150,31 @@ class TestInit:
         assert np.mean(w) == pytest.approx(0.0, abs=0.01)
 
     def test_biases_zero_and_seeded(self):
-        mlp1 = Mlp.dense(np.random.default_rng(7), [6, 4, 2])
-        mlp2 = Mlp.dense(np.random.default_rng(7), [6, 4, 2])
-        for l1, l2 in zip(mlp1.layers, mlp2.layers):
-            np.testing.assert_array_equal(l1.bias, np.zeros_like(l1.bias))
-            np.testing.assert_array_equal(l1.weight, l2.weight)
+        for rank in (None, 3):
+            a1 = init_layer(np.random.default_rng(7), 6, 4, rank)
+            a2 = init_layer(np.random.default_rng(7), 6, 4, rank)
+            np.testing.assert_array_equal(a1[-1], np.zeros(4))
+            for x, y in zip(a1, a2):
+                np.testing.assert_array_equal(x, y)
+
+    def test_layer_shapes_in_params_order(self):
+        assert layer_shapes(5, 3) == {"W": (3, 5), "bias": (3,)}
+        assert layer_shapes(5, 3, rank=2) == {"U": (5, 2), "V": (2, 3), "bias": (3,)}
+        for rank, cls in ((None, DenseLinear), (2, LowRankLinear)):
+            arrays = init_layer(np.random.default_rng(0), 5, 3, rank)
+            assert [a.shape for a in cls(*arrays).params()] == list(layer_shapes(5, 3, rank).values())
+
+    def test_each_weight_draws_with_its_own_fans(self):
+        # Glorot's bound is symmetric in the fans, so W (d_out, d_in) and
+        # the factors U (d_in, r), V (r, d_out) draw in params() order.
+        rng = np.random.default_rng(9)
+        w = glorot_uniform(rng, 5, 3, (3, 5))
+        u, v = glorot_uniform(rng, 5, 2, (5, 2)), glorot_uniform(rng, 2, 3, (2, 3))
+        rng = np.random.default_rng(9)
+        np.testing.assert_array_equal(init_layer(rng, 5, 3)[0], w)
+        got_u, got_v, _ = init_layer(rng, 5, 3, rank=2)
+        np.testing.assert_array_equal(got_u, u)
+        np.testing.assert_array_equal(got_v, v)
 
 
 class TestAdam:

@@ -164,22 +164,11 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        def bw(g):
-            self._accumulate(-g)
-
-        return Tensor._make(-self.data, (self,), bw)
+        # Multiplying by -1.0 is exact, so this is negation bit for bit.
+        return self * -1.0
 
     def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data - other.data
-
-        def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.data.shape))
-
-        return Tensor._make(out_data, (self, other), bw)
+        return self + -other
 
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -308,21 +297,15 @@ def tsum(x, axis=None, keepdims: bool = False):
     return Tensor._make(np.add.reduce(x.data, axis=axis, keepdims=keepdims), (x,), bw)
 
 
-def maximum(a, b):
-    """Elementwise max; ties route the gradient to the first operand."""
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return np.maximum(a, b)
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    out_data = np.maximum(a.data, b.data)
+def maximum(x, floor: float):
+    """Elementwise max of `x` and a constant; ties route the gradient to x."""
+    if not isinstance(x, Tensor):
+        return np.maximum(x, floor)
 
     def bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * (a.data >= b.data), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (b.data > a.data), b.data.shape))
+        x._accumulate(g * (x.data >= floor))
 
-    return Tensor._make(out_data, (a, b), bw)
+    return Tensor._make(np.maximum(x.data, floor), (x,), bw)
 
 
 def row_slice(x, start: int, stop: int):

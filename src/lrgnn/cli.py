@@ -195,9 +195,16 @@ def cmd_train(args) -> int:
 
     cfg = trainer.TrainConfig(arch=arch, checkpoint_path=os.path.join(args.out, "model.bin"),
                               **_library_kwargs(trainer.TrainConfig, resolved))
-    # Before training, so an unusable --out fails fast.
+    # Before training, so an unusable --out fails fast; removed again if
+    # training fails and this call made it.
+    created = not os.path.exists(args.out)
     os.makedirs(args.out, exist_ok=True)
-    params, report = trainer.train(train_set, cfg, test_set)
+    try:
+        params, report = trainer.train(train_set, cfg, test_set)
+    except BaseException:
+        if created and not os.listdir(args.out):
+            os.rmdir(args.out)
+        raise
     trainer.write_train_report(report, os.path.join(args.out, "train_report.csv"))
     _write_echo(os.path.join(args.out, "train_config.json"), resolved)
     counts = count_model_params(arch, include_bias=False)
@@ -251,13 +258,13 @@ def _model_stem(path) -> str:
 def cmd_analyze(args) -> int:
     if args.mode in ("size-table", "p-heatmap"):
         grid = compression.size_ratio_table(args.nt)
-        name = "size_table.csv" if args.mode == "size-table" else "p_heatmap.csv"
+        if args.mode == "size-table":
+            name, cells = "size_table.csv", grid.size_ratios
+        else:
+            name, cells = "p_heatmap.csv", grid.p_values
         path = os.path.join(args.out, name)
         os.makedirs(args.out, exist_ok=True)
-        if args.mode == "size-table":
-            compression.write_size_table(grid, path)
-        else:
-            compression.write_p_heatmap(grid, path)
+        compression.write_grid(grid, cells, path)
         print(f"wrote {path} (Nt={args.nt})")
         return 0
     if not args.model:

@@ -222,15 +222,7 @@ def model_disk_size(path) -> int:
 # ---------------------------------------------------------------------------
 
 
-def write_size_table(grid: ReductionGrid, path) -> None:
-    _write_grid(grid, grid.size_ratios, path)
-
-
-def write_p_heatmap(grid: ReductionGrid, path) -> None:
-    _write_grid(grid, grid.p_values, path)
-
-
-def _write_grid(grid: ReductionGrid, cells: np.ndarray, path) -> None:
+def write_grid(grid: ReductionGrid, cells: np.ndarray, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["a1/a2"] + [str(a2) for a2 in grid.a2_values])

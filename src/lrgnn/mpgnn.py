@@ -210,30 +210,27 @@ def round_terms(fixed, graph: Graph, params: MpgnnParams) -> RoundTerms:
         groups = group_keys(graph.edges[:, 1])
         fixed_j = gather_rows(fixed @ row_slice(f1, 0, w), graph.edges[:, 0])
         msg_const = fixed_j + graph.edge_features @ row_slice(f1, 2 * w, 3 * w)
-    tail1 = Mlp(params.mlp1.layers[1:], output_activation="relu")
-    tail2 = Mlp(params.mlp2.layers[1:], output_activation=None)
+    tail1 = Mlp(params.mlp1.layers[1:], params.mlp1.output_activation)
+    tail2 = Mlp(params.mlp2.layers[1:], params.mlp2.output_activation)
     upd = [row_slice(f2, lo, hi) for lo, hi in ((0, w), (w, 2 * w), (2 * w, f2.shape[0]))]
     return RoundTerms(groups, msg_const, row_slice(f1, w, 2 * w), fixed @ upd[0], upd[1], upd[2], tail1, tail2)
 
 
-def layer_step(states: tuple, graph: Graph, params: MpgnnParams, terms: RoundTerms | None = None) -> tuple:
-    """One message-passing round.
+def layer_step(hidden, graph: Graph, params: MpgnnParams, terms: RoundTerms):
+    """One message-passing round; returns the new hidden states.
 
-    states is (fixed, hidden). For each vertex n: messages
-    MLP1([x_j ; e_jn]) over in-neighbors j, elementwise-max aggregated
-    (zero vector if there are none), then hidden_n := sigmoid(
-    MLP2([x_n ; aggregate])). The fixed half passes through unchanged.
-    terms (round_terms of the pass, computed here if None) holds the
-    fixed and edge terms, so a round projects only hidden, on vertex
-    rows, and gathers that projection (64 or rank1 wide) to the edges."""
-    fixed, hidden = states
-    t = round_terms(fixed, graph, params) if terms is None else terms
-    z = t.upd_const + hidden @ t.upd_hidden
-    if t.groups is not None:
-        msg_first = t.msg_const + gather_rows(hidden @ t.msg_hidden, graph.edges[:, 0])
-        msgs = t.tail1(relu(params.mlp1.layers[0].finish(msg_first)))
-        z = z + scatter_max(msgs, graph.edges[:, 1], graph.n_vertices, t.groups) @ t.upd_agg
-    return fixed, sigmoid(t.tail2(relu(params.mlp2.layers[0].finish(z))))
+    For each vertex n: messages MLP1([x_j ; e_jn]) over in-neighbors j,
+    elementwise-max aggregated (zero vector if there are none), then
+    hidden_n := sigmoid(MLP2([x_n ; aggregate])), x being [fixed ;
+    hidden]. terms (round_terms of the pass) holds the fixed and edge
+    terms, so a round projects only hidden, on vertex rows, and gathers
+    that projection (64 or rank1 wide) to the edges."""
+    z = terms.upd_const + hidden @ terms.upd_hidden
+    if terms.groups is not None:
+        msg_first = terms.msg_const + gather_rows(hidden @ terms.msg_hidden, graph.edges[:, 0])
+        msgs = terms.tail1(relu(params.mlp1.layers[0].finish(msg_first)))
+        z = z + scatter_max(msgs, graph.edges[:, 1], graph.n_vertices, terms.groups) @ terms.upd_agg
+    return sigmoid(terms.tail2(relu(params.mlp2.layers[0].finish(z))))
 
 
 def forward_real(graph: Graph, params: MpgnnParams, arch: MpgnnArch):
@@ -245,11 +242,11 @@ def forward_real(graph: Graph, params: MpgnnParams, arch: MpgnnArch):
     if graph.n_tx_antennas != nt:
         raise ValueError(f"graph carries Nt={graph.n_tx_antennas}, model expects {nt}")
     fixed = graph.vertex_features[:, : 2 * nt]
-    states = (fixed, np.zeros((graph.n_vertices, 2 * nt)))
+    hidden = np.zeros((graph.n_vertices, 2 * nt))
     terms = round_terms(fixed, graph, params)
     for _ in range(arch.n_rounds):
-        states = layer_step(states, graph, params, terms)
-    v = 2.0 * states[1] - 1.0
+        hidden = layer_step(hidden, graph, params, terms)
+    v = 2.0 * hidden - 1.0
     root_p = float(np.sqrt(arch.p_max))
     norm = sqrt(tsum(square(v), axis=1, keepdims=True))
     # Radial projection: scale by min(1, sqrt(p_max)/||v||), written

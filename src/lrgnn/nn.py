@@ -170,24 +170,22 @@ class Mlp:
         return x
 
 
-class Adam:
-    """Adam with bias correction; updates parameter arrays in place.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    Defaults follow the usual lr=0.001, beta1=0.9, beta2=0.999,
-    eps=1e-8. The very first step therefore moves every parameter by
+
+class Adam:
+    """Adam with bias correction (BETA1, BETA2, EPS); updates parameter
+    arrays in place. The very first step moves every parameter by
     about -lr * sign(gradient).
     """
 
-    def __init__(self, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 0.001):
         # lr = 0 is allowed: a degenerate optimizer that never moves.
         if lr < 0.0:
             raise ValueError("lr must be >= 0")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
@@ -199,15 +197,15 @@ class Adam:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - BETA1**self.t
+        b2t = 1.0 - BETA2**self.t
         for p, g, m, v in zip(params, grads, self._m, self._v):
             if p.shape != g.shape:
                 raise ValueError(f"grad shape {g.shape} does not match param shape {p.shape}")
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError("non-finite gradient in Adam step")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)

@@ -203,19 +203,16 @@ def train(train_set, cfg: TrainConfig, test_set=None):
     select_on = cfg.select_on if test_set else "train"
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     params = init_params(cfg.arch, cfg.seed)
-    arrays = params.flat()
+    arrays = params.flat()  # Adam updates these in place, so params stays current
     adam = Adam(lr=cfg.lr)
     report = TrainReport()
-
-    def test_metric():
-        return evaluate(cfg.arch, rebuild_params(cfg.arch, arrays), test_set,
-                        full_interference=cfg.full_interference)
 
     # Epoch 0 (untrained) is a checkpoint candidate.
     best_arrays = [a.copy() for a in arrays]
     best_epoch = 0
     if test_set:
-        report.initial_test_sum_rate = test_metric()
+        report.initial_test_sum_rate = evaluate(cfg.arch, params, test_set,
+                                                full_interference=cfg.full_interference)
     best_score = report.initial_test_sum_rate if select_on == "test" else float("-inf")
     last_test = report.initial_test_sum_rate
 
@@ -224,14 +221,14 @@ def train(train_set, cfg: TrainConfig, test_set=None):
         epoch_losses = []
         for bi in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
-            batch_loss, totals = _batch_grad(cfg.arch, arrays, batch, cfg.full_interference)
-            batch_loss /= len(batch)
-            if not np.isfinite(batch_loss):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {bi // cfg.batch_size}"
-                )
+            # An op that overflows or makes a NaN raises; NaN inputs meet the loss check.
             try:
-                adam.step(arrays, [t / len(batch) for t in totals])
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    batch_loss, totals = _batch_grad(cfg.arch, arrays, batch, cfg.full_interference)
+                    batch_loss /= len(batch)
+                    if not np.isfinite(batch_loss):
+                        raise FloatingPointError("non-finite loss")
+                    adam.step(arrays, [t / len(batch) for t in totals])
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"epoch {epoch}, batch {bi // cfg.batch_size}: {err}"
@@ -242,7 +239,7 @@ def train(train_set, cfg: TrainConfig, test_set=None):
         if select_on == "train":
             score = -report.train_loss[-1]
         if test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
-            last_test = test_metric()
+            last_test = evaluate(cfg.arch, params, test_set, full_interference=cfg.full_interference)
             if select_on == "test":
                 score = last_test
         elif select_on == "test":

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -420,6 +421,26 @@ class TestFailureLeavesNoOutDir:
                    "--bins", "1000000000", "--out", str(out)])
         assert rc == 1
         assert not out.exists()
+
+    def test_train_blow_up(self, tmp_path, capsys):
+        data = tmp_path / "D"
+        assert main(["gen-data", "--out", str(data), "--pairs", "2", "--antennas", "2",
+                     "--train", "4", "--test", "0"]) == 0
+        train = ["train", "--data", str(data), "--epochs", "3", "--batch-size", "2", "--lr", "1e300"]
+        # In a child process, so numpy's warnings print as they would
+        # for a user instead of being turned into errors by pytest.
+        out = tmp_path / "T"
+        proc = subprocess.run([sys.executable, "-m", "lrgnn.cli", *train, "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert not out.exists()
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and re.match(r"error: epoch \d+, batch \d+: ", lines[0]), proc.stderr
+        # A directory that was there before is kept.
+        kept = tmp_path / "K"
+        kept.mkdir()
+        assert main([*train, "--out", str(kept)]) == 1
+        assert kept.is_dir()
 
 
 class TestConfigFile:

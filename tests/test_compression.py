@@ -18,9 +18,8 @@ from lrgnn.compression import (
     svd_truncate,
     weight_histogram,
     weight_matrices,
-    write_p_heatmap,
+    write_grid,
     write_singular_values,
-    write_size_table,
     write_weight_histogram,
 )
 from lrgnn.mpgnn import MpgnnArch, count_model_params, init_params, save_model
@@ -240,7 +239,7 @@ class TestDiskAndCsv:
     def test_size_table_csv_round_trip(self, tmp_path):
         grid = size_ratio_table(512)
         path = tmp_path / "table.csv"
-        write_size_table(grid, path)
+        write_grid(grid, grid.size_ratios, path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["a1/a2", "4", "16", "32", "64", "128", "256", "512"]
@@ -251,7 +250,7 @@ class TestDiskAndCsv:
     def test_p_heatmap_csv(self, tmp_path):
         grid = size_ratio_table(16, a1_values=(2, 3), a2_values=(2,))
         path = tmp_path / "p.csv"
-        write_p_heatmap(grid, path)
+        write_grid(grid, grid.p_values, path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
         assert len(rows) == 3

@@ -20,6 +20,7 @@ from lrgnn.mpgnn import (
     load_model,
     mlp_dims,
     rebuild_params,
+    round_terms,
     save_model,
 )
 from lrgnn.nn import glorot_uniform
@@ -149,8 +150,9 @@ class TestLayerStep:
         arch = MpgnnArch(n_tx_antennas=3)
         params = init_params(arch, 0)
         fixed = g.vertex_features[:, :6]
-        new_fixed, hidden = layer_step((fixed, np.zeros((4, 6))), g, params)
-        assert new_fixed is fixed
+        before = fixed.copy()
+        hidden = layer_step(np.zeros((4, 6)), g, params, round_terms(fixed, g, params))
+        np.testing.assert_array_equal(fixed, before)
         assert np.all((hidden > 0.0) & (hidden < 1.0))
 
     def test_isolated_vertices_update(self):
@@ -231,11 +233,11 @@ class TestForward:
         arch1 = MpgnnArch(n_tx_antennas=3, n_rounds=1)
         arch3 = MpgnnArch(n_tx_antennas=3, n_rounds=3)
         params = init_params(arch3, 9)
-        fixed = g.vertex_features[:, :6]
-        states = (fixed, np.zeros((4, 6)))
+        terms = round_terms(g.vertex_features[:, :6], g, params)
+        hidden = np.zeros((4, 6))
         for _ in range(3):
-            states = layer_step(states, g, params)
-        v = 2.0 * states[1] - 1.0
+            hidden = layer_step(hidden, g, params, terms)
+        v = 2.0 * hidden - 1.0
         norm = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
         manual = v * (1.0 / np.maximum(norm, 1.0))
         expected = manual[:, :3] + 1j * manual[:, 3:]

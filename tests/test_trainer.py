@@ -1,6 +1,7 @@
 """Training loop: checkpoint selection, determinism, abort and report contracts."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -155,6 +156,13 @@ class TestTrainBasics:
         with pytest.raises(FloatingPointError, match="epoch 1, batch 0"):
             train(data, cfg)
 
+    def test_overflow_reports_batch(self):
+        # An absurd step overflows the next batch's matmuls: numpy's own
+        # FloatingPointError stops training, with epoch and batch added.
+        cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=2), lr=1e300, epochs=3, batch_size=2, seed=0)
+        with pytest.raises(FloatingPointError, match=r"^epoch 1, batch 1: overflow"):
+            train(dataset(4, seed=10), cfg)
+
 
 class TestSelectionAndSchedule:
     def test_eval_every_carries_last_value_forward(self):
@@ -260,6 +268,36 @@ class TestUnionBatches:
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
         for g, w in zip(grads, want):
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+# SHA-256 of _batch_grad's loss and gradient bytes, per (ranks,
+# full_interference), and of a 2-epoch train's params_checksum per ranks.
+BATCH_GRAD_DIGESTS = {
+    (None, False): "efb52b310c2ece0cd4dd1494fcda0a131de971eb634087a3841bb22423454eb8",
+    (None, True): "e19a84617d09562aeceb22e277a68f8d84ce640e4b33e89b70a42c595c1d5bde",
+    ((2, 3), False): "3c56e6418a111e25cfeafddaf652bae09564073bdb7b0b8b8c6c5c3e39ba7d88",
+    ((2, 3), True): "094ffcc46c00e26be00c048c35d6a06424e5bc3451d46f4f3af18103459603a5",
+}
+TRAIN_CHECKSUMS = {
+    None: "ac58d4f90f2aa57a3ecea17d9591f0f4595ba120f217667222336fab0f753927",
+    (2, 3): "5f322a6e725b70f4bc09606a49ff6a3bfdd9ebff2aa3a6a87a0e30a337996ab2",
+}
+
+
+@pytest.mark.parametrize("ranks", [None, (2, 3)], ids=["dense", "low_rank"])
+def test_batch_grad_digests_frozen(ranks):
+    # Pins the tape's bits: 20 samples at N=3, Nt=4 are two unions.
+    arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
+    data = dataset(20, seed=11, nt=4)
+    arrays = init_params(arch, 5).flat()
+    for full_interference in (False, True):
+        loss, grads = _batch_grad(arch, arrays, data, full_interference)
+        h = hashlib.sha256(np.float64(loss).tobytes())
+        for g in grads:
+            h.update(g.astype("<f8").tobytes())
+        assert h.hexdigest() == BATCH_GRAD_DIGESTS[ranks, full_interference]
+    _, report = train(data, TrainConfig(arch=arch, epochs=2, batch_size=8, seed=2), dataset(4, seed=12, nt=4))
+    assert report.params_checksum == TRAIN_CHECKSUMS[ranks]
 
 
 class TestUnionScoring:

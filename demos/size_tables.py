@@ -10,20 +10,15 @@ import os
 import tempfile
 
 from lrgnn import MpgnnArch, count_model_params, init_params, save_model
-from lrgnn.compression import (
-    dense_param_count,
-    lowrank_param_count,
-    model_disk_size,
-    reduction_fraction,
-    size_ratio_table,
-)
+from lrgnn.compression import reduction_fraction, size_ratio_table
+from lrgnn.mpgnn import param_counts
 
 NT = 512
 
-dense_n = dense_param_count(NT)
+dense_n = param_counts(NT, None, include_bias=False).total
 print(f"dense model at Nt={NT}: {dense_n:,} weights (biases excluded)")
 for a1, a2 in ((4, 4), (16, 4), (64, 512)):
-    n = lowrank_param_count(NT, a1, a2)
+    n = param_counts(NT, (a1, a2), include_bias=False).total
     print(f"  low-rank (a1={a1:>2}, a2={a2:>3}): {n:>9,} weights, "
           f"ratio {dense_n / n:6.2f}x, reduction p = {reduction_fraction(NT, a1, a2):.5f}")
 
@@ -50,7 +45,7 @@ with tempfile.TemporaryDirectory() as tmp:
     ):
         path = os.path.join(tmp, name + ".bin")
         save_model(path, arch, init_params(arch, seed=0))
-        sizes[name] = model_disk_size(path)
+        sizes[name] = os.path.getsize(path)
         print(f"\n{name}: {count_model_params(arch).total:,} stored parameters -> "
               f"{sizes[name]:,} bytes on disk")
     print(f"file size ratio: {sizes['dense'] / sizes['lr_4_4']:.1f}x")

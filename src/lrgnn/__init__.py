@@ -28,7 +28,7 @@ from .scenario import (
     read_dataset,
     write_dataset,
 )
-from .trainer import TrainConfig, TrainReport, evaluate, normalized_sum_rate, train
+from .trainer import TrainConfig, TrainReport, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "generate_scenario",
     "init_params",
     "load_model",
-    "normalized_sum_rate",
     "rate_report",
     "read_dataset",
     "save_model",

@@ -103,8 +103,8 @@ class Tensor:
         else:
             self.grad += g
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backpropagate from this tensor to every reachable parameter.
+    def backward(self) -> None:
+        """Backpropagate from this scalar tensor to every reachable parameter.
 
         The tape is consumed on the way: once an interior node has pushed
         its gradient to its parents, its gradient, closure and parent
@@ -117,10 +117,8 @@ class Tensor:
                 "backward() on a tensor with no recorded computation; "
                 "run a forward pass over tensors that require gradients first"
             )
-        if seed is None:
-            if self.data.shape != ():
-                raise RuntimeError("backward() without a seed needs a scalar tensor")
-            seed = np.ones_like(self.data)
+        if self.data.shape != ():
+            raise RuntimeError("backward() needs a scalar tensor")
 
         order: list[Tensor] = []
         visited: set[int] = set()
@@ -138,7 +136,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        self._accumulate(_as_array(seed))
+        self._accumulate(np.ones_like(self.data))
         while order:
             node = order.pop()
             if node._backward is not None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import compression, scenario, trainer
 from .binio import FormatError
-from .mpgnn import MpgnnArch, count_model_params, load_model
+from .mpgnn import MpgnnArch, count_model_params, load_model, save_model
 from .scenario import ScenarioConfig, generate_dataset, read_dataset, write_dataset
 
 
@@ -183,18 +183,23 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     resolved = _resolve(args, *_TRAIN)
-    train_set = read_dataset(os.path.join(args.data, "train.bin"))
+    train_path = os.path.join(args.data, "train.bin")
+    train_set = read_dataset(train_path)
     test_path = os.path.join(args.data, "test.bin")
     test_set = read_dataset(test_path) if os.path.exists(test_path) else None
     nt = train_set[0].scenario.n_tx_antennas
+    if test_set:
+        train_s, test_s = train_set[0].scenario, test_set[0].scenario
+        for what, a, b in (("Nt", nt, test_s.n_tx_antennas), ("p_max", train_s.p_max, test_s.p_max)):
+            if a != b:
+                raise ValueError(f"{train_path} has {what}={a!r} but {test_path} has {what}={b!r}")
     if resolved["p_max"] is None:
         resolved["p_max"] = train_set[0].scenario.p_max
 
     kind, rank1, rank2 = _parse_ranks(resolved["ranks"])
     arch = MpgnnArch(n_tx_antennas=nt, kind=kind, rank1=rank1, rank2=rank2, p_max=resolved["p_max"])
 
-    cfg = trainer.TrainConfig(arch=arch, checkpoint_path=os.path.join(args.out, "model.bin"),
-                              **_library_kwargs(trainer.TrainConfig, resolved))
+    cfg = trainer.TrainConfig(arch=arch, **_library_kwargs(trainer.TrainConfig, resolved))
     # Before training, so an unusable --out fails fast; removed again if
     # training fails and this call made it.
     created = not os.path.exists(args.out)
@@ -205,6 +210,7 @@ def cmd_train(args) -> int:
         if created and not os.listdir(args.out):
             os.rmdir(args.out)
         raise
+    save_model(os.path.join(args.out, "model.bin"), arch, params)
     trainer.write_train_report(report, os.path.join(args.out, "train_report.csv"))
     _write_echo(os.path.join(args.out, "train_config.json"), resolved)
     counts = count_model_params(arch, include_bias=False)
@@ -296,7 +302,7 @@ def cmd_inspect(args) -> int:
     print(f"weight parameters (bias-free): {weights.total} "
           f"(mlp1 {weights.mlp1}, mlp2 {weights.mlp2})")
     print(f"total parameters: {total.total}")
-    print(f"file size: {compression.model_disk_size(args.model)} bytes")
+    print(f"file size: {os.path.getsize(args.model)} bytes")
     return 0
 
 

@@ -6,15 +6,14 @@ factorization of trained dense layers.
 
 Counting convention: size ratios and reduction fractions use bias-free
 counts (weight matrices and factors only); that is the convention the
-closed form encodes. Every layer carries a bias; bias-inclusive counts
-are available from the same functions via include_bias. The counts
-come from the layer shapes through mpgnn.param_counts.
+closed form encodes. Every layer carries a bias; the counts come from
+the layer shapes through mpgnn.param_counts, whose include_bias also
+gives bias-inclusive counts.
 """
 
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,6 @@ TABLE_A1 = (4, 16, 32, 64)
 TABLE_A2 = (4, 16, 32, 64, 128, 256, 512)
 
 _CONSISTENCY_TOL = 1e-12
-
-
-def dense_param_count(nt: int, include_bias: bool = False) -> int:
-    return param_counts(nt, None, include_bias).total
-
-
-def lowrank_param_count(nt: int, a1: int, a2: int, include_bias: bool = False) -> int:
-    return param_counts(nt, (a1, a2), include_bias).total
 
 
 def reduction_fraction(nt: int, a1: int, a2: int) -> float:
@@ -74,12 +65,12 @@ def size_ratio_table(nt: int, a1_values=TABLE_A1, a2_values=TABLE_A2) -> Reducti
     a disagreement beyond 1e-12 raises, so the two routes cannot drift
     apart silently.
     """
-    dense = dense_param_count(nt)
+    dense = param_counts(nt, None, include_bias=False).total
     p = np.zeros((len(a1_values), len(a2_values)))
     ratio = np.zeros_like(p)
     for i, a1 in enumerate(a1_values):
         for j, a2 in enumerate(a2_values):
-            lr = lowrank_param_count(nt, a1, a2)
+            lr = param_counts(nt, (a1, a2), include_bias=False).total
             ratio[i, j] = dense / lr
             p[i, j] = reduction_fraction(nt, a1, a2)
             counted = 1.0 - 1.0 / ratio[i, j]
@@ -209,11 +200,6 @@ def svd_truncate(w: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     p, s, qt = np.linalg.svd(w.T, full_matrices=False)
     root = np.sqrt(s[:r])
     return p[:, :r] * root, root[:, None] * qt[:r]
-
-
-def model_disk_size(path) -> int:
-    """Byte count of a serialized model file."""
-    return os.path.getsize(path)
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,10 @@ class MpgnnArch:
                 raise ValueError("low-rank architectures need rank1 and rank2")
             if self.rank1 < 1 or self.rank2 < 1:
                 raise ValueError("ranks must be >= 1")
-            if self.rank1 > MSG_DIM:
-                raise ValueError(f"rank1 must be <= {MSG_DIM}, got {self.rank1}")
-            cap2 = min(64 + 4 * self.n_tx_antennas, MLP2_HIDDEN)
-            if self.rank2 > cap2:
-                raise ValueError(f"rank2 must be <= {cap2} at Nt={self.n_tx_antennas}, got {self.rank2}")
+            (_, hid1, _), (in2, hid2, _) = mlp_dims(self.n_tx_antennas)
+            for name, rank, cap in (("rank1", self.rank1, hid1), ("rank2", self.rank2, min(in2, hid2))):
+                if rank > cap:
+                    raise ValueError(f"{name} must be <= {cap} at Nt={self.n_tx_antennas}, got {rank}")
 
     @property
     def ranks(self) -> tuple | None:

@@ -4,8 +4,8 @@ One stacked-real formula computes every SINR and rate. It reads its
 constants from a Graph, one sample's or a disjoint union's: desired
 channels, weights and noise powers from the vertex features, and
 interfering channels from the edge features. Edge (i, n) adds
-|h_in^H q_i|^2 to the interference at vertex n; rate_graph gives a
-scenario the graph of every off-diagonal pair (full_interference=True).
+|h_in^H q_i|^2 to the interference at vertex n; the edges
+interference_edges(s, np.inf) make every off-diagonal pair interfere.
 wsr_from_real also takes autodiff tensors (the training loss is its
 negative); rate_report gives per-vertex values, and sinr and
 weighted_sum_rate wrap it for complex beamformers on one scenario.
@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import gather_rows, log1p, maximum, scatter_sum, square, tsum
-from .scenario import Graph, Scenario, graph_from_edges, interference_edges, split_complex
+from .scenario import Graph, Scenario, graph_from_edges, split_complex
 
 LN2 = float(np.log(2.0))
 
@@ -39,16 +39,6 @@ class RateReport(NamedTuple):
     @property
     def weighted_sum_rate(self) -> float:
         return float(np.add.reduce(self.weighted_rate))
-
-
-def rate_graph(s: Scenario, edges=None, *, full_interference: bool = False) -> Graph:
-    """The Graph of a scenario whose edges carry its interference:
-    `edges`, or with full_interference=True every off-diagonal pair."""
-    if full_interference:
-        edges = interference_edges(s, np.inf)
-    elif edges is None:
-        raise ValueError("edges are required unless full_interference=True")
-    return graph_from_edges(s, edges)
 
 
 def _rot_half(x: np.ndarray) -> np.ndarray:
@@ -97,14 +87,16 @@ def rate_report(graph: Graph, q_real: np.ndarray) -> RateReport:
     return RateReport(snr, rate, graph.vertex_features[:, -2] * rate, interf)
 
 
-def sinr(s: Scenario, q: np.ndarray, edges=None, *, full_interference: bool = False) -> np.ndarray:
-    """Per-user SINR of complex (N, Nt) beamformers on one scenario."""
-    return rate_report(rate_graph(s, edges, full_interference=full_interference), split_complex(q)).sinr
+def sinr(s: Scenario, q: np.ndarray, edges) -> np.ndarray:
+    """Per-user SINR of complex (N, Nt) beamformers on one scenario,
+    interfered along `edges`."""
+    return rate_report(graph_from_edges(s, edges), split_complex(q)).sinr
 
 
-def weighted_sum_rate(s: Scenario, q: np.ndarray, edges=None, *, full_interference: bool = False) -> float:
-    """Weighted sum rate of complex (N, Nt) beamformers on one scenario."""
-    return rate_report(rate_graph(s, edges, full_interference=full_interference), split_complex(q)).weighted_sum_rate
+def weighted_sum_rate(s: Scenario, q: np.ndarray, edges) -> float:
+    """Weighted sum rate of complex (N, Nt) beamformers on one scenario,
+    interfered along `edges`."""
+    return rate_report(graph_from_edges(s, edges), split_complex(q)).weighted_sum_rate
 
 
 def baseline_beamformers(s: Scenario, kind: str, seed: int = 0) -> np.ndarray:

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, value
-from .mpgnn import MpgnnArch, MpgnnParams, forward_real, init_params, rebuild_params, save_model
+from .mpgnn import MpgnnArch, MpgnnParams, forward_real, init_params, rebuild_params
 from .nn import Adam
-from .objective import rate_graph, rate_report, wsr_from_real
-from .scenario import Graph, _snap_f32
+from .objective import rate_report, wsr_from_real
+from .scenario import Graph, _snap_f32, graph_from_edges, interference_edges
 
 _SELECT_MODES = ("test", "train")
 
@@ -49,7 +49,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1
     select_on: str = "test"
-    checkpoint_path: str | None = None
     full_interference: bool = False
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ def _unions(samples, full_interference: bool):
         chunk = samples[lo : lo + _UNION_SIZE]
         graph, offsets = _union([g for _, g in chunk])
         if full_interference:
-            rated, _ = _union([rate_graph(s, full_interference=True) for s, _ in chunk])
+            rated, _ = _union([graph_from_edges(s, interference_edges(s, np.inf)) for s, _ in chunk])
         else:
             rated = graph
         yield graph, rated, offsets
@@ -167,20 +166,6 @@ def sample_rates(
 def evaluate(arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False) -> float:
     """Mean weighted sum rate over a dataset; never mutates params."""
     return float(np.mean(sample_rates(arch, params, samples, full_interference=full_interference)))
-
-
-def normalized_sum_rate(lr_model, dense_model, test_set, *, full_interference: bool = False) -> float:
-    """evaluate(low-rank) / evaluate(dense) on the identical test set.
-
-    Both models are (arch, params) pairs. The reference mean sum rate
-    must be positive.
-    """
-    lr_arch, lr_params = lr_model
-    dense_arch, dense_params = dense_model
-    denom = evaluate(dense_arch, dense_params, test_set, full_interference=full_interference)
-    if denom <= 0.0:
-        raise ValueError(f"reference model has non-positive mean sum rate {denom}")
-    return evaluate(lr_arch, lr_params, test_set, full_interference=full_interference) / denom
 
 
 def train(train_set, cfg: TrainConfig, test_set=None):
@@ -255,8 +240,6 @@ def train(train_set, cfg: TrainConfig, test_set=None):
     report.best_epoch = best_epoch
     report.wall_time_s = time.perf_counter() - t0
     report.params_checksum = params_checksum(final)
-    if cfg.checkpoint_path:
-        save_model(cfg.checkpoint_path, cfg.arch, final)
     return final, report
 
 

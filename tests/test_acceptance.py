@@ -19,6 +19,7 @@ and enforces the claim's wall-time budget. The claims:
 8. bit-exact round trips and same-seed determinism (< 1 min)
 """
 
+import os
 import time
 
 import numpy as np
@@ -29,9 +30,6 @@ from lrgnn.cli import main
 from lrgnn.compression import (
     TABLE_A1,
     TABLE_A2,
-    dense_param_count,
-    lowrank_param_count,
-    model_disk_size,
     reduction_fraction,
     singular_values,
     svd_truncate,
@@ -42,6 +40,7 @@ from lrgnn.mpgnn import (
     forward_real,
     init_params,
     load_model,
+    param_counts,
     rebuild_params,
     save_model,
 )
@@ -78,10 +77,10 @@ def test_criterion_1_reduction_formula_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for nt in (16, 512):
-        dense = dense_param_count(nt)
+        dense = param_counts(nt, None, include_bias=False).total
         for a1 in TABLE_A1:
             for a2 in TABLE_A2:
-                counted = 1.0 - lowrank_param_count(nt, a1, a2) / dense
+                counted = 1.0 - param_counts(nt, (a1, a2), include_bias=False).total / dense
                 formula = reduction_fraction(nt, a1, a2)
                 rel = abs(formula - counted) / max(abs(formula), abs(counted))
                 worst = max(worst, rel)
@@ -97,12 +96,12 @@ def test_criterion_1_reduction_formula_oracle():
 
 def test_criterion_2_size_ratio_grid_reproduction():
     t0 = time.perf_counter()
-    dense = dense_param_count(512)
+    dense = param_counts(512, None, include_bias=False).total
     worst = 0.0
     anchors = {}
     for a1, row in PUBLISHED_RATIOS.items():
         for a2, published in zip(TABLE_A2, row):
-            computed = dense / lowrank_param_count(512, a1, a2)
+            computed = dense / param_counts(512, (a1, a2), include_bias=False).total
             rel = abs(computed - published) / published
             worst = max(worst, rel)
             if (a1, a2) in ((64, 512), (4, 512)):
@@ -121,7 +120,8 @@ def test_criterion_2_size_ratio_grid_reproduction():
 
 def test_criterion_3_sixtyfold_and_98_percent(tmp_path):
     t0 = time.perf_counter()
-    ratio = dense_param_count(512) / lowrank_param_count(512, 4, 4)
+    dense, lr = (param_counts(512, ranks, include_bias=False).total for ranks in (None, (4, 4)))
+    ratio = dense / lr
     p = reduction_fraction(512, 4, 4)
 
     dense_arch = MpgnnArch(n_tx_antennas=512)
@@ -129,7 +129,7 @@ def test_criterion_3_sixtyfold_and_98_percent(tmp_path):
     dense_path, lr_path = tmp_path / "dense.bin", tmp_path / "lr.bin"
     save_model(dense_path, dense_arch, init_params(dense_arch, 0))
     save_model(lr_path, lr_arch, init_params(lr_arch, 0))
-    file_ratio = model_disk_size(dense_path) / model_disk_size(lr_path)
+    file_ratio = os.path.getsize(dense_path) / os.path.getsize(lr_path)
 
     ok = 55.0 <= ratio <= 62.0 and 0.980 <= p <= 0.986 and file_ratio >= 50.0
     _check(

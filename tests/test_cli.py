@@ -1,6 +1,7 @@
 """Command-line interface: plumbing, config layering, exit codes, outputs."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import pytest
 from lrgnn.cli import main
 from lrgnn.mpgnn import load_model
 from lrgnn.objective import baseline_beamformers
-from lrgnn.scenario import read_dataset
+from lrgnn.scenario import Sample, graph_from_edges, read_dataset, write_dataset
 from lrgnn.trainer import sample_rates
 
 
@@ -203,6 +204,27 @@ class TestTrain:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value, setting", [
+        ("--p-max", "4", "p_max"),
+        ("--antennas", "4", "Nt"),
+    ])
+    def test_test_split_must_match_train_split(self, tmp_path, capsys, flag, value, setting):
+        # train.bin from one run, test.bin from a run that differs in one setting.
+        data, other = tmp_path / "D", tmp_path / "X"
+        gen = ["gen-data", "--pairs", "2", "--antennas", "2", "--train", "4", "--test", "2"]
+        assert main(gen + ["--out", str(data)]) == 0
+        assert main(gen + ["--out", str(other), flag, value]) == 0
+        (data / "test.bin").write_bytes((other / "test.bin").read_bytes())
+        capsys.readouterr()
+        out = tmp_path / "T"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{setting}=" in err
+        assert str(data / "train.bin") in err and str(data / "test.bin") in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_self_reference_normalizes_to_one(self, data_dir, model_dir, tmp_path):
@@ -296,6 +318,21 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-finite" in err
         assert not (tmp_path / "o" / "eval.csv").exists()
+
+    def test_non_positive_reference_is_one_line_error(self, data_dir, model_dir, tmp_path, capsys):
+        # With every user weight zero, any model's mean sum rate is 0.
+        zeroed = []
+        for s in read_dataset(data_dir / "test.bin"):
+            z = dataclasses.replace(s.scenario, weights=np.zeros_like(s.scenario.weights))
+            zeroed.append(Sample(z, graph_from_edges(z, s.graph.edges)))
+        write_dataset(zeroed, tmp_path / "zero.bin")
+        model = str(model_dir / "model.bin")
+        rc = main(["eval", "--model", model, "--data", str(tmp_path / "zero.bin"),
+                   "--reference", model, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: reference model has non-positive mean sum rate 0.0\n"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_model_file(self, data_dir, tmp_path):
         rc = main([

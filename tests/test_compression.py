@@ -1,6 +1,7 @@
 """Size analytics: reduction formula, spectra, SVD factorization, CSVs."""
 
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -8,10 +9,7 @@ import pytest
 from lrgnn.compression import (
     TABLE_A1,
     TABLE_A2,
-    dense_param_count,
     layer_spectra,
-    lowrank_param_count,
-    model_disk_size,
     reduction_fraction,
     singular_values,
     size_ratio_table,
@@ -22,7 +20,7 @@ from lrgnn.compression import (
     write_singular_values,
     write_weight_histogram,
 )
-from lrgnn.mpgnn import MpgnnArch, count_model_params, init_params, save_model
+from lrgnn.mpgnn import MpgnnArch, count_model_params, init_params, param_counts, save_model
 
 
 class TestReductionFraction:
@@ -42,40 +40,40 @@ class TestReductionFraction:
 
     def test_equals_counted_fraction_on_grid(self):
         for nt in (16, 512):
-            dense = dense_param_count(nt)
+            dense = param_counts(nt, None, include_bias=False).total
             for a1 in TABLE_A1:
                 for a2 in TABLE_A2:
-                    counted = 1.0 - lowrank_param_count(nt, a1, a2) / dense
+                    counted = 1.0 - param_counts(nt, (a1, a2), include_bias=False).total / dense
                     formula = reduction_fraction(nt, a1, a2)
                     assert abs(formula - counted) <= 1e-12 * max(1.0, abs(formula))
 
 
 class TestCounts:
     def test_dense_frozen(self):
-        assert dense_param_count(512) == 1806336
-        assert dense_param_count(512) == 1152 * (3 * 512 + 32)
+        dense = param_counts(512, None, include_bias=False).total
+        assert dense == 1806336
+        assert dense == 1152 * (3 * 512 + 32)
 
     def test_lowrank_frozen(self):
-        assert lowrank_param_count(512, 4, 4) == 29696
-        ratio = dense_param_count(512) / lowrank_param_count(512, 4, 4)
+        assert param_counts(512, (4, 4), include_bias=False).total == 29696
+        dense = param_counts(512, None, include_bias=False).total
+        ratio = dense / param_counts(512, (4, 4), include_bias=False).total
         assert ratio == pytest.approx(60.83, abs=0.01)
 
     def test_matches_model_level_counts(self):
         arch = MpgnnArch(n_tx_antennas=16, kind="low_rank", rank1=8, rank2=8)
-        assert lowrank_param_count(16, 8, 8) == count_model_params(arch, include_bias=False).total
-        assert lowrank_param_count(16, 8, 8, include_bias=True) == count_model_params(
-            arch, include_bias=True
-        ).total
+        assert param_counts(16, (8, 8), include_bias=False) == count_model_params(arch, include_bias=False)
+        assert param_counts(16, (8, 8), include_bias=True) == count_model_params(arch, include_bias=True)
 
     def test_matches_stored_array_sizes(self):
         arch = MpgnnArch(n_tx_antennas=8)
         params = init_params(arch, 0)
         stored = sum(a.size for _, a in weight_matrices(params))
-        assert stored == dense_param_count(8)
+        assert stored == param_counts(8, None, include_bias=False).total
 
     def test_overcomplete_ranks_countable(self):
         # Ranks beyond the trainable caps are still measurable objects.
-        assert lowrank_param_count(16, 4, 512) > 0
+        assert param_counts(16, (4, 512), include_bias=False).total > 0
 
 
 class TestSizeRatioTable:
@@ -97,7 +95,8 @@ class TestSizeRatioTable:
     def test_custom_grid(self):
         grid = size_ratio_table(16, a1_values=(2,), a2_values=(2, 4))
         assert grid.size_ratios.shape == (1, 2)
-        assert grid.size_ratios[0, 0] == dense_param_count(16) / lowrank_param_count(16, 2, 2)
+        dense, lr = (param_counts(16, ranks, include_bias=False).total for ranks in (None, (2, 2)))
+        assert grid.size_ratios[0, 0] == dense / lr
 
 
 class TestWeightHistogram:
@@ -105,9 +104,9 @@ class TestWeightHistogram:
         arch = MpgnnArch(n_tx_antennas=4, kind="low_rank", rank1=3, rank2=3)
         params = init_params(arch, 1)
         report = weight_histogram(params, n_bins=20)
-        assert int(report.pooled.counts.sum()) == lowrank_param_count(4, 3, 3)
+        assert int(report.pooled.counts.sum()) == param_counts(4, (3, 3), include_bias=False).total
         per_matrix = sum(int(m.counts.sum()) for m in report.matrices)
-        assert per_matrix == lowrank_param_count(4, 3, 3)
+        assert per_matrix == param_counts(4, (3, 3), include_bias=False).total
         assert len(report.bin_edges) == 21
 
     def test_zero_weights_degenerate_range(self):
@@ -122,7 +121,7 @@ class TestWeightHistogram:
         report = weight_histogram(zeroed, n_bins=5)
         assert report.pooled.mean == 0.0
         assert report.bin_edges[0] == -0.5 and report.bin_edges[-1] == 0.5
-        assert int(report.pooled.counts.sum()) == dense_param_count(2)
+        assert int(report.pooled.counts.sum()) == param_counts(2, None, include_bias=False).total
 
     def test_pooled_moments_reasonable(self):
         params = init_params(MpgnnArch(n_tx_antennas=8), 2)
@@ -136,7 +135,7 @@ class TestWeightHistogram:
         with pytest.raises(ValueError, match="n_bins"):
             weight_histogram(params, n_bins=0)
         # More bins than weights is refused before the bin edges exist.
-        count = dense_param_count(2)
+        count = param_counts(2, None, include_bias=False).total
         assert int(weight_histogram(params, n_bins=count).pooled.counts.sum()) == count
         with pytest.raises(ValueError, match=f"pooled weight count {count}, got {count + 1}"):
             weight_histogram(params, n_bins=count + 1)
@@ -225,16 +224,12 @@ class TestSvdTruncate:
 
 
 class TestDiskAndCsv:
-    def test_model_disk_size(self, tmp_path):
+    def test_model_file_size(self, tmp_path):
         arch = MpgnnArch(n_tx_antennas=4)
         path = tmp_path / "m.bin"
         save_model(path, arch, init_params(arch, 0))
         total = count_model_params(arch, include_bias=True).total
-        assert model_disk_size(path) == 36 + 48 + 4 * total
-
-    def test_model_disk_size_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            model_disk_size(tmp_path / "nope.bin")
+        assert os.path.getsize(path) == 36 + 48 + 4 * total
 
     def test_size_table_csv_round_trip(self, tmp_path):
         grid = size_ratio_table(512)
@@ -267,7 +262,7 @@ class TestDiskAndCsv:
         # 4 matrices plus the pooled row set, 4 bins each, one header.
         assert len(rows) == 1 + 5 * 4
         total = sum(int(r[4]) for r in rows[1:] if r[0] == "pooled")
-        assert total == dense_param_count(2)
+        assert total == param_counts(2, None, include_bias=False).total
 
     def test_singular_value_csv(self, tmp_path):
         params = init_params(MpgnnArch(n_tx_antennas=2), 4)

@@ -59,6 +59,13 @@ class TestArch:
         with pytest.raises(ValueError, match="rank2"):
             MpgnnArch(n_tx_antennas=16, kind="low_rank", rank1=4, rank2=129)
         MpgnnArch(n_tx_antennas=512, kind="low_rank", rank1=64, rank2=512)
+        # The caps at both sides of Nt=112, where 64+4*Nt reaches 512.
+        for nt, cap2 in ((1, 68), (8, 96), (112, 512), (512, 512)):
+            MpgnnArch(n_tx_antennas=nt, kind="low_rank", rank1=64, rank2=cap2)
+            with pytest.raises(ValueError, match="rank1"):
+                MpgnnArch(n_tx_antennas=nt, kind="low_rank", rank1=65, rank2=cap2)
+            with pytest.raises(ValueError, match="rank2"):
+                MpgnnArch(n_tx_antennas=nt, kind="low_rank", rank1=64, rank2=cap2 + 1)
 
     def test_basic_bounds(self):
         with pytest.raises(ValueError, match="n_tx_antennas"):

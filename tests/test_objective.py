@@ -6,7 +6,6 @@ import pytest
 from lrgnn.autodiff import Tensor
 from lrgnn.objective import (
     baseline_beamformers,
-    rate_graph,
     rate_report,
     sinr,
     weighted_sum_rate,
@@ -19,6 +18,7 @@ from lrgnn.scenario import (
     build_graph,
     generate_scenario,
     graph_from_edges,
+    interference_edges,
     split_complex,
 )
 from lrgnn.trainer import _union
@@ -51,9 +51,14 @@ def random_sample(seed, n=3, nt=2):
     return Sample(scenario=s, graph=g)
 
 
-def report(s, q, edges=None, *, full_interference=False):
+def report(s, q, edges):
     """rate_report of complex beamformers on one scenario."""
-    return rate_report(rate_graph(s, edges, full_interference=full_interference), split_complex(q))
+    return rate_report(graph_from_edges(s, edges), split_complex(q))
+
+
+def rated_edges(s, edges, full_interference):
+    """The edges the rates read: `edges`, or every off-diagonal pair."""
+    return interference_edges(s, np.inf) if full_interference else edges
 
 
 def reference(s, q, edges=None):
@@ -88,15 +93,15 @@ class TestReference:
             q = random_beamformers(k + 60, 4, 3)
             want_sinr, want_rate, want_interf, want_wsr = reference(
                 s, q, None if full_interference else g.edges.tolist())
-            graph = rate_graph(s, g.edges, full_interference=full_interference)
+            edges = rated_edges(s, g.edges, full_interference)
+            graph = graph_from_edges(s, edges)
             r = rate_report(graph, split_complex(q))
             np.testing.assert_allclose(r.sinr, want_sinr, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(r.rate, want_rate, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(r.interference, want_interf, rtol=1e-12, atol=0.0)
             assert r.weighted_sum_rate == pytest.approx(want_wsr, rel=1e-12)
-            np.testing.assert_allclose(sinr(s, q, g.edges, full_interference=full_interference),
-                                       want_sinr, rtol=1e-12, atol=0.0)
-            got = weighted_sum_rate(s, q, g.edges, full_interference=full_interference)
+            np.testing.assert_allclose(sinr(s, q, edges), want_sinr, rtol=1e-12, atol=0.0)
+            got = weighted_sum_rate(s, q, edges)
             assert got == pytest.approx(want_wsr, rel=1e-12)
             assert wsr_from_real(graph, split_complex(q)) == pytest.approx(want_wsr, rel=1e-12)
             taped = wsr_from_real(graph, Tensor(split_complex(q), requires_grad=True))
@@ -109,8 +114,7 @@ class TestReference:
         qa, qb = random_beamformers(70, 3, 2), random_beamformers(71, 5, 2)
         want = [reference(x.scenario, q, None if full_interference else x.graph.edges.tolist())
                 for x, q in ((a, qa), (b, qb))]
-        union, _ = _union([rate_graph(x.scenario, x.graph.edges, full_interference=full_interference)
-                            for x in (a, b)])
+        union, _ = _union([graph_from_edges(s, rated_edges(s, g.edges, full_interference)) for s, g in (a, b)])
         r = rate_report(union, split_complex(np.concatenate([qa, qb])))
         for got, k in ((r.sinr, 0), (r.rate, 1), (r.interference, 2)):
             np.testing.assert_allclose(got, np.concatenate([want[0][k], want[1][k]]), rtol=1e-12, atol=0.0)
@@ -118,9 +122,9 @@ class TestReference:
         assert r.weighted_sum_rate == pytest.approx(total, rel=1e-12)
         assert wsr_from_real(union, split_complex(np.concatenate([qa, qb]))) == pytest.approx(total, rel=1e-12)
 
-    def test_rate_graph_of_full_interference_has_every_pair(self):
+    def test_infinite_threshold_makes_every_pair_an_edge(self):
         s = random_sample(13, n=4, nt=2).scenario
-        got = rate_graph(s, full_interference=True).edges.tolist()
+        got = graph_from_edges(s, interference_edges(s, np.inf)).edges.tolist()
         assert got == [[i, k] for i in range(4) for k in range(4) if i != k]
 
     def test_beamformer_shape_checked(self):
@@ -178,7 +182,7 @@ class TestSinr:
 
     def test_edges_required_without_full_flag(self):
         s, q, _ = two_user_case()
-        with pytest.raises(ValueError, match="edges"):
+        with pytest.raises(TypeError, match="edges"):
             sinr(s, q)
 
     def test_full_interference_counts_every_cross_link(self):
@@ -186,7 +190,7 @@ class TestSinr:
         # variant must therefore never report a larger denominator.
         s, q, edges = two_user_case()
         partial = report(s, q, edges[:1])
-        full = report(s, q, full_interference=True)
+        full = report(s, q, interference_edges(s, np.inf))
         # The single kept edge (0, 1) carries TX 0's interference to RX 1.
         assert partial.interference[0] == 0.0
         assert partial.interference[1] == pytest.approx(0.25, rel=1e-12)
@@ -229,8 +233,8 @@ class TestRealRoute:
         a, b = random_sample(5, n=3, nt=2), random_sample(6, n=4, nt=2)
         rng = np.random.default_rng(50)
         qa, qb = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
-        # A dataset graph holds the same constants rate_graph builds.
-        assert wsr_from_real(a.graph, qa) == wsr_from_real(rate_graph(a.scenario, a.graph.edges), qa)
+        # A dataset graph holds the same constants graph_from_edges builds.
+        assert wsr_from_real(a.graph, qa) == wsr_from_real(graph_from_edges(a.scenario, a.graph.edges), qa)
         union, _ = _union([a.graph, b.graph])
         want = wsr_from_real(a.graph, qa) + wsr_from_real(b.graph, qb)
         assert wsr_from_real(union, np.concatenate([qa, qb])) == pytest.approx(want, rel=1e-12)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lrgnn
+from lrgnn.cli import main
 from lrgnn.mpgnn import MpgnnArch, init_params
 from lrgnn.scenario import ScenarioConfig, build_graph, generate_scenario
 
@@ -58,3 +59,15 @@ def test_tracer_records_the_mlp_spans(tracer):
         attrs = [s[5] for s in in_forward if s[2] == name]
         assert len(attrs) == arch.n_rounds
         assert all(a == {"rows": rows, "flops": 2 * rows * d_in * d_out} for a in attrs)
+
+
+def test_tracer_records_the_save_of_a_train_run(tracer, tmp_path):
+    # lrgnn train saves the model itself; its binding of save_model is
+    # one of the sites the tracer patches.
+    data, out = tmp_path / "D", tmp_path / "T"
+    assert main(["gen-data", "--out", str(data), "--pairs", "2", "--antennas", "2",
+                 "--train", "2", "--test", "0"]) == 0
+    assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 0
+    saves = [s for s in tracer.spans if s[2] == "mpgnn.save"]
+    assert len(saves) == 1 and saves[0][1] is None
+    assert (out / "model.bin").exists()

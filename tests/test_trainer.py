@@ -8,14 +8,20 @@ import numpy as np
 import pytest
 
 from lrgnn.autodiff import Tensor
-from lrgnn.mpgnn import MpgnnArch, forward, forward_real, init_params, load_model, rebuild_params
-from lrgnn.objective import rate_graph, weighted_sum_rate, wsr_from_real
-from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset, graph_from_edges
+from lrgnn.mpgnn import MpgnnArch, forward, forward_real, init_params, load_model, rebuild_params, save_model
+from lrgnn.objective import weighted_sum_rate, wsr_from_real
+from lrgnn.scenario import (
+    Sample,
+    Scenario,
+    ScenarioConfig,
+    generate_dataset,
+    graph_from_edges,
+    interference_edges,
+)
 from lrgnn.trainer import (
     TrainConfig,
     _batch_grad,
     evaluate,
-    normalized_sum_rate,
     params_checksum,
     sample_rates,
     train,
@@ -209,36 +215,14 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(arch, init_params(arch, 0), [])
 
-    def test_normalized_self_ratio_is_one(self):
-        arch = MpgnnArch(n_tx_antennas=2)
-        params = init_params(arch, 1)
-        test = dataset(5, seed=17)
-        assert normalized_sum_rate((arch, params), (arch, params), test) == 1.0
-
-    def test_normalized_rejects_zero_reference(self):
-        arch = MpgnnArch(n_tx_antennas=2)
-        params = init_params(arch, 1)
-        test = dataset(3, seed=18)
-        zeroed = []
-        for s in test:
-            z = Scenario(
-                tx_positions=s.scenario.tx_positions,
-                rx_positions=s.scenario.rx_positions,
-                channels=s.scenario.channels,
-                weights=np.zeros_like(s.scenario.weights),
-                noise_powers=s.scenario.noise_powers,
-            )
-            zeroed.append(Sample(z, graph_from_edges(z, s.graph.edges)))
-        with pytest.raises(ValueError, match="non-positive"):
-            normalized_sum_rate((arch, params), (arch, params), zeroed)
-
 
 def sample_loss_and_grads(arch, arrays, sample, full_interference):
     """Reference: one sample on its own tape, through wsr_from_real on
     the sample's own graph (or its all-pairs graph)."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     q = forward_real(sample.graph, rebuild_params(arch, tensors), arch)
-    rated = rate_graph(sample.scenario, full_interference=True) if full_interference else sample.graph
+    s = sample.scenario
+    rated = graph_from_edges(s, interference_edges(s, np.inf)) if full_interference else sample.graph
     neg = -wsr_from_real(rated, q)
     neg.backward()
     return float(neg.data), [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
@@ -317,8 +301,8 @@ class TestUnionScoring:
         got = sample_rates(arch, params, samples, full_interference=full_interference)
 
         want = np.array([
-            weighted_sum_rate(s.scenario, forward(s.graph, params, arch), s.graph.edges,
-                              full_interference=full_interference)
+            weighted_sum_rate(s.scenario, forward(s.graph, params, arch),
+                              interference_edges(s.scenario, np.inf) if full_interference else s.graph.edges)
             for s in samples
         ])
         assert got.shape == want.shape == (37,)
@@ -330,9 +314,10 @@ class TestCheckpoint:
     def test_checkpoint_round_trip_bit_identical(self, tmp_path):
         arch = MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=2, rank2=2)
         path = str(tmp_path / "ck.bin")
-        cfg = TrainConfig(arch=arch, epochs=2, batch_size=4, seed=4, checkpoint_path=path)
+        cfg = TrainConfig(arch=arch, epochs=2, batch_size=4, seed=4)
         data, test = dataset(8, seed=19), dataset(4, seed=20)
         final, report = train(data, cfg, test)
+        save_model(path, arch, final)
         arch2, loaded = load_model(path)
         assert arch2 == arch
         for a, b in zip(final.flat(), loaded.flat()):

@@ -217,8 +217,10 @@ def cmd_train(args) -> int:
     print(f"arch {resolved['ranks']} at Nt={nt}: {counts.total} weight parameters")
     print(f"best epoch {report.best_epoch}, checksum {report.params_checksum[:16]}")
     if test_set:
+        best = report.best_test_sum_rate
+        saved = "not evaluated" if np.isnan(best) else f"{best:.4f}"
         print(f"test sum rate: {report.initial_test_sum_rate:.4f} (untrained) -> "
-              f"{max(report.test_sum_rate):.4f} (best)")
+              f"{saved} (saved, epoch {report.best_epoch})")
     print(f"wall time {report.wall_time_s:.1f}s; model and report in {args.out}")
     return 0
 

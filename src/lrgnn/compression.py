@@ -9,6 +9,11 @@ counts (weight matrices and factors only); that is the convention the
 closed form encodes. Every layer carries a bias; the counts come from
 the layer shapes through mpgnn.param_counts, whose include_bias also
 gives bias-inclusive counts.
+
+Kurtosis convention: Fisher's excess kurtosis (0 for a normal
+distribution) from the biased moments m2 = mean(d^2), m4 = mean(d^4)
+of the deviations d from the mean, as m4 / m2^2 - 3; nan at zero
+variance, i.e. when m2 <= (eps * mean)^2 with eps the float64 epsilon.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .mpgnn import MpgnnParams, param_counts
 from .nn import layer_shapes
@@ -116,6 +120,19 @@ def weight_matrices(params: MpgnnParams) -> list[tuple[str, np.ndarray]]:
             if name != "bias"]
 
 
+def _kurtosis(flat: np.ndarray) -> float:
+    """Excess kurtosis under the module docstring's convention."""
+    # Extreme weight magnitudes can under- or overflow the powers; the
+    # result then follows IEEE arithmetic without a warning.
+    with np.errstate(all="ignore"):
+        mean = np.mean(flat)
+        d2 = (flat - mean) ** 2
+        m2 = np.mean(d2)
+        if m2 <= (np.finfo(np.float64).eps * mean) ** 2:
+            return float("nan")
+        return float(np.mean(d2**2) / m2**2.0 - 3)
+
+
 def _stats(name: str, flat: np.ndarray, edges: np.ndarray) -> MatrixStats:
     counts, _ = np.histogram(flat, bins=edges)
     return MatrixStats(
@@ -125,7 +142,7 @@ def _stats(name: str, flat: np.ndarray, edges: np.ndarray) -> MatrixStats:
         std=float(np.std(flat)),
         min=float(np.min(flat)),
         max=float(np.max(flat)),
-        kurtosis=float(stats.kurtosis(flat)),
+        kurtosis=_kurtosis(flat),
         n=flat.size,
     )
 

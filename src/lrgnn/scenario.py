@@ -201,11 +201,17 @@ def generate_scenario(cfg: ScenarioConfig, seed: int | None = None) -> Scenario:
 
     # d[i, n]: TX i to RX n
     d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    gain = 10.0 ** (-pathloss_db(d, cfg.pathloss_log_base) / 20.0)
     psi = 10.0 ** (cfg.antenna_gain_dbi / 10.0)
-    # Extreme gains or shadowing can over- or underflow the channels or
-    # their normalization; that is checked once on the result below.
+    # Extreme distances, gains or shadowing can over- or underflow the
+    # path gain, the channels or their normalization; each is checked
+    # once on its result below.
     with np.errstate(all="ignore"):
+        gain = 10.0 ** (-pathloss_db(d, cfg.pathloss_log_base) / 20.0)
+        if not np.isfinite(gain).all():
+            # Only a TX-RX distance near 0 m, which d_min bounds, overflows the gain.
+            raise ValueError(
+                f"d_min={cfg.d_min}: the derived largest path gain is {float(np.max(gain))}, "
+                f"which must be finite")
         if cfg.shadow_sigma_db > 0.0:
             rho = 10.0 ** (rg.normal(0.0, cfg.shadow_sigma_db, size=(n, n)) / 10.0)
         else:

@@ -74,13 +74,16 @@ class TrainReport:
     evaluation epochs the last computed test value is carried forward so
     the lengths always match. Epoch 0 is the untrained model; its test
     sum rate is kept separately and participates in checkpoint
-    selection.
+    selection. best_test_sum_rate is the test sum rate of the returned
+    checkpoint (epoch best_epoch, before its f32 rounding), or nan if
+    that epoch was not evaluated or there is no test set.
     """
 
     train_loss: list = field(default_factory=list)
     test_sum_rate: list = field(default_factory=list)
     initial_test_sum_rate: float = float("nan")
     best_epoch: int = 0
+    best_test_sum_rate: float = float("nan")
     wall_time_s: float = 0.0
     params_checksum: str = ""
 
@@ -199,7 +202,7 @@ def train(train_set, cfg: TrainConfig, test_set=None):
         report.initial_test_sum_rate = evaluate(cfg.arch, params, test_set,
                                                 full_interference=cfg.full_interference)
     best_score = report.initial_test_sum_rate if select_on == "test" else float("-inf")
-    last_test = report.initial_test_sum_rate
+    best_test = last_test = report.initial_test_sum_rate
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_set))
@@ -223,7 +226,8 @@ def train(train_set, cfg: TrainConfig, test_set=None):
 
         if select_on == "train":
             score = -report.train_loss[-1]
-        if test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs):
+        evaluated = test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs)
+        if evaluated:
             last_test = evaluate(cfg.arch, params, test_set, full_interference=cfg.full_interference)
             if select_on == "test":
                 score = last_test
@@ -234,10 +238,12 @@ def train(train_set, cfg: TrainConfig, test_set=None):
         if score > best_score:
             best_score = score
             best_epoch = epoch
+            best_test = last_test if evaluated else float("nan")
             best_arrays = [a.copy() for a in arrays]
 
     final = rebuild_params(cfg.arch, [_snap_f32(a) for a in best_arrays])
     report.best_epoch = best_epoch
+    report.best_test_sum_rate = best_test
     report.wall_time_s = time.perf_counter() - t0
     report.params_checksum = params_checksum(final)
     return final, report

@@ -120,6 +120,20 @@ class TestGenData:
         assert derived in err and "must be finite and positive" in err
         assert not (tmp_path / "o" / "train.bin").exists()
 
+    def test_distance_rounding_to_zero_is_one_line_error(self, tmp_path):
+        # In a child process, so numpy's warnings print as they would
+        # for a user instead of being turned into errors by pytest.
+        out = tmp_path / "D"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrgnn.cli", "gen-data", "--out", str(out),
+             "--d-min", "1e-320", "--d-max", "1e-320", "--train", "2", "--test", "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: d_min=1e-320: "), proc.stderr
+        assert not out.exists()
+
     def test_bad_sample_counts(self, tmp_path):
         rc = main(["gen-data", "--out", str(tmp_path), "--train", "0"])
         assert rc == 1
@@ -183,6 +197,30 @@ class TestTrain:
                          "--epochs", "1", "--batch-size", "4"] + extra) == 0
             assert load_model(out / "model.bin")[0].p_max == want
             assert json.loads((out / "train_config.json").read_text())["p_max"] == want
+
+    def test_summary_prints_the_saved_checkpoints_rate(self, tmp_path, capsys):
+        # With --select-on train the saved epoch (2) is not the one with
+        # the best test rate (1).
+        data = tmp_path / "G"
+        assert main(["gen-data", "--out", str(data), "--pairs", "3", "--antennas", "4",
+                     "--train", "8", "--test", "8", "--seed", "1"]) == 0
+        train = ["train", "--data", str(data), "--epochs", "6", "--batch-size", "4",
+                 "--lr", "0.3", "--select-on", "train"]
+        capsys.readouterr()
+        assert main(train + ["--out", str(tmp_path / "T")]) == 0
+        printed = re.search(r"test sum rate: \S+ \(untrained\) -> (\S+) (.*)", capsys.readouterr().out)
+        assert main(["eval", "--model", str(tmp_path / "T" / "model.bin"),
+                     "--data", str(data / "test.bin"), "--out", str(tmp_path / "E")]) == 0
+        with open(tmp_path / "E" / "eval.csv") as f:
+            mean = float(next(row[1] for row in csv.reader(f) if row[0] == "mean"))
+        # The summary prints 4 decimals of the rate.
+        assert abs(float(printed.group(1)) - round(mean, 4)) <= 1e-12
+        assert printed.group(2) == "(saved, epoch 2)"
+        # The same run evaluating only epochs 4 and 6 cannot report epoch 2's rate.
+        assert main(train + ["--out", str(tmp_path / "U"), "--eval-every", "4"]) == 0
+        assert "-> not evaluated (saved, epoch 2)" in capsys.readouterr().out
+        assert (tmp_path / "U" / "model.bin").read_bytes() == (
+            tmp_path / "T" / "model.bin").read_bytes()
 
     def test_zero_rank_rejected(self, data_dir, tmp_path, capsys):
         rc = main([

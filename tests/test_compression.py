@@ -9,6 +9,7 @@ import pytest
 from lrgnn.compression import (
     TABLE_A1,
     TABLE_A2,
+    _kurtosis,
     layer_spectra,
     reduction_fraction,
     singular_values,
@@ -109,19 +110,43 @@ class TestWeightHistogram:
         assert per_matrix == param_counts(4, (3, 3), include_bias=False).total
         assert len(report.bin_edges) == 21
 
-    def test_zero_weights_degenerate_range(self):
-        arch = MpgnnArch(n_tx_antennas=2)
-        params = init_params(arch, 0)
-        zeroed = type(params)(
-            mlp1=params.mlp1, mlp2=params.mlp2
-        )
-        for mlp in (zeroed.mlp1, zeroed.mlp2):
+    @staticmethod
+    def _dense_weights(fill):
+        """Dense Nt=2 parameters with each weight matrix W set to fill(W.shape)."""
+        params = init_params(MpgnnArch(n_tx_antennas=2), 0)
+        for mlp in (params.mlp1, params.mlp2):
             for layer in mlp.layers:
-                layer.weight[...] = 0.0
+                layer.weight[...] = fill(layer.weight.shape)
+        return params
+
+    def test_zero_weights_degenerate_range(self):
+        zeroed = self._dense_weights(np.zeros)
         report = weight_histogram(zeroed, n_bins=5)
         assert report.pooled.mean == 0.0
         assert report.bin_edges[0] == -0.5 and report.bin_edges[-1] == 0.5
         assert int(report.pooled.counts.sum()) == param_counts(2, None, include_bias=False).total
+        # Zero variance: the kurtosis is undefined.
+        assert all(np.isnan(m.kurtosis) for m in report.matrices + [report.pooled])
+
+    def test_constant_weights_kurtosis_is_nan_without_warning(self):
+        # pytest turns a warning (e.g. a precision-loss warning from the
+        # moment computation) into a failure.
+        report = weight_histogram(self._dense_weights(lambda shape: np.full(shape, 0.5)), n_bins=5)
+        assert report.pooled.std == 0.0
+        assert all(np.isnan(m.kurtosis) for m in report.matrices + [report.pooled])
+
+    def test_two_point_weights_kurtosis_is_minus_two(self):
+        # Equally many +1 and -1: m2 = m4 = 1, so m4 / m2^2 - 3 = -2 exactly.
+        def signs(shape):
+            return np.where(np.arange(np.prod(shape)).reshape(shape) % 2, -1.0, 1.0)
+
+        report = weight_histogram(self._dense_weights(signs), n_bins=2)
+        assert [m.kurtosis for m in report.matrices + [report.pooled]] == [-2.0] * 5
+
+    def test_kurtosis_hand_computed(self):
+        # [0, 0, 0, 1]: mean 1/4, m2 = 3/16, m4 = 21/256, m4 / m2^2 - 3 = 7/3 - 3.
+        # (Bias-corrected moments would give 4 here, Pearson's convention 7/3.)
+        assert _kurtosis(np.array([0.0, 0.0, 0.0, 1.0])) == pytest.approx(-2.0 / 3.0, rel=1e-15)
 
     def test_pooled_moments_reasonable(self):
         params = init_params(MpgnnArch(n_tx_antennas=8), 2)

@@ -15,7 +15,7 @@ class ByteReader:
     """Cursor over a byte buffer that fails loudly on truncation and on
     non-finite floats."""
 
-    def __init__(self, buf: bytes, path, error_cls=FormatError):
+    def __init__(self, buf: bytes, path, error_cls: type[FormatError]):
         self.buf = buf
         self.off = 0
         self.path = path
@@ -42,3 +42,17 @@ class ByteReader:
     def done(self) -> None:
         if self.off != len(self.buf):
             raise self.error_cls(f"{self.path}: {len(self.buf) - self.off} trailing bytes")
+
+
+def open_reader(path, magic: bytes, version: int, error_cls: type[FormatError]) -> ByteReader:
+    """A ByteReader over the file at `path`, positioned after its magic
+    and version; any other magic or version raises error_cls."""
+    with open(path, "rb") as f:
+        r = ByteReader(f.read(), path, error_cls)
+    got = r.take(len(magic), "magic")
+    if got != magic:
+        raise error_cls(f"{path}: bad magic {got!r}, expected {magic!r}")
+    got = r.u32("version")
+    if got != version:
+        raise error_cls(f"{path}: unsupported version {got}, expected {version}")
+    return r

@@ -78,10 +78,6 @@ _TRAIN = (trainer.TrainConfig, (
     _Setting("eval_every", int),
     _Setting("select_on", str, None, trainer._SELECT_MODES),
     _Setting("p_max", float),
-    # Accepted and ignored, so older configs and scripts still run:
-    # training has a single, deterministic code path.
-    _Setting("deterministic", bool, "accepted and ignored: training is always deterministic",
-             default=False),
     _Setting("full_interference", bool, "ignore the edge threshold in the loss"),
 ))
 
@@ -301,6 +297,7 @@ def cmd_inspect(args) -> int:
     else:
         print(f"kind: low_rank (a1={arch.rank1}, a2={arch.rank2}), Nt={arch.n_tx_antennas}")
     print(f"mlp1 dims {arch.mlp1_dims}, mlp2 dims {arch.mlp2_dims}, {arch.n_rounds} rounds")
+    print(f"power budget p_max: {arch.p_max!r}")
     print(f"weight parameters (bias-free): {weights.total} "
           f"(mlp1 {weights.mlp1}, mlp2 {weights.mlp2})")
     print(f"total parameters: {total.total}")

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import gather_rows, group_keys, maximum, relu, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
-from .binio import ByteReader, FormatError
+from .binio import FormatError, open_reader
 from .nn import DenseLinear, LowRankLinear, Mlp, init_layer, layer_shapes
 from .scenario import Graph, merge_complex
 
@@ -44,7 +44,8 @@ _KINDS = ("dense", "low_rank")
 
 class ModelFormatError(FormatError):
     """Raised when a model file is malformed (magic, version, truncation,
-    non-finite floats, an architecture header MpgnnArch rejects)."""
+    non-finite floats, flags other than 0 or 1, an architecture header
+    MpgnnArch rejects)."""
 
 
 def mlp_dims(n_tx_antennas: int) -> tuple[list, list]:
@@ -260,11 +261,10 @@ def forward(graph: Graph, params: MpgnnParams, arch: MpgnnArch) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Model files: little-endian, magic "LRGM". Header: version u32, flags u32
-# (bit0 set for low-rank), Nt u32, rank1 u32, rank2 u32 (0 when dense), p_max
+# (0 dense, 1 low-rank), Nt u32, rank1 u32, rank2 u32 (0 when dense), p_max
 # f64, n_rounds u32. Then the four layers in flat() order, each as d_in u32,
 # d_out u32, r u32 (0 when dense) followed by f32 arrays: dense W row-major
-# then b; low-rank U, V, b. Version 1 files lack p_max and n_rounds; they
-# load with MpgnnArch's defaults.
+# then b; low-rank U, V, b.
 # ---------------------------------------------------------------------------
 
 
@@ -281,32 +281,20 @@ def save_model(path, arch: MpgnnArch, params: MpgnnParams) -> None:
 
 
 def load_model(path) -> tuple[MpgnnArch, MpgnnParams]:
-    with open(path, "rb") as f:
-        buf = f.read()
-    r = ByteReader(buf, path, ModelFormatError)
-    magic = r.take(4, "magic")
-    if magic != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
-    version = r.u32("version")
-    if version not in (1, MODEL_VERSION):
-        raise ModelFormatError(f"{path}: unsupported version {version}")
+    r = open_reader(path, MODEL_MAGIC, MODEL_VERSION, ModelFormatError)
     flags = r.u32("flags")
     nt = r.u32("antenna count")
     a1 = r.u32("rank1")
     a2 = r.u32("rank2")
-    stored = {}
-    if version == MODEL_VERSION:
-        stored["p_max"] = struct.unpack("<d", r.take(8, "p_max"))[0]
-        stored["n_rounds"] = r.u32("round count")
-    low_rank = bool(flags & 1)
+    p_max = struct.unpack("<d", r.take(8, "p_max"))[0]
+    n_rounds = r.u32("round count")
+    if flags not in (0, 1):
+        raise ModelFormatError(f"{path}: flags {flags:#x}, expected 0 (dense) or 1 (low-rank)")
     try:
-        arch = MpgnnArch(
-            n_tx_antennas=nt,
-            kind="low_rank" if low_rank else "dense",
-            rank1=a1 if low_rank else None,
-            rank2=a2 if low_rank else None,
-            **stored,
-        )
+        # A dense header's zero ranks read as None; MpgnnArch rejects
+        # any other rank a dense header holds, and a low-rank zero rank.
+        arch = MpgnnArch(n_tx_antennas=nt, kind=_KINDS[flags], rank1=a1 or None, rank2=a2 or None,
+                         n_rounds=n_rounds, p_max=p_max)
     except ValueError as e:
         raise ModelFormatError(f"{path}: invalid architecture header: {e}") from e
 

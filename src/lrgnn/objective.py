@@ -18,14 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import gather_rows, log1p, maximum, scatter_sum, square, tsum
+from .autodiff import gather_rows, log1p, scatter_sum, square, tsum
 from .scenario import Graph, Scenario, graph_from_edges, split_complex
 
 LN2 = float(np.log(2.0))
-
-# Keeps a hand-built zero-noise Graph from dividing by zero;
-# graph_from_edges rejects noise powers <= 0.
-DENOM_FLOOR = 1e-30
 
 
 class RateReport(NamedTuple):
@@ -63,7 +59,7 @@ def _sinr(graph: Graph, q_real):
         interf = scatter_sum(p_e, graph.edges[:, 1], graph.n_vertices)
     else:
         interf = np.zeros(graph.n_vertices)
-    return sig / maximum(interf + z[:, -1], DENOM_FLOOR), interf
+    return sig / (interf + z[:, -1]), interf
 
 
 def wsr_from_real(graph: Graph, q_real):

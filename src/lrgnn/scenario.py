@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .binio import ByteReader, FormatError
+from .binio import FormatError, open_reader
 
 DATASET_MAGIC = b"LRGD"
 DATASET_VERSION = 2
@@ -297,8 +297,7 @@ def generate_dataset(cfg: ScenarioConfig, n_samples: int, first_index: int = 0) 
 # count u32, pair count u32, antenna count u32, the samples' shared p_max
 # f64. Then per sample, all floats f32 and complex values interleaved
 # (Re, Im): TX xy, RX xy, H in (i, n, antenna) row-major order, weights,
-# noise powers, edge count, (source, target) pairs. Version 1 files lack
-# p_max; they load with p_max 1.
+# noise powers, edge count, (source, target) pairs.
 # ---------------------------------------------------------------------------
 
 
@@ -350,24 +349,15 @@ def read_dataset(path) -> list[Sample]:
     """Read a dataset file back into (Scenario, Graph) samples.
 
     Stored channels are already normalized, so scale_factor is 1 on the
-    reconstructed scenarios. Each gets the file's power budget p_max;
-    version 1 files do not store one and give p_max 1.
+    reconstructed scenarios. Each gets the file's power budget p_max.
     """
-    with open(path, "rb") as f:
-        buf = f.read()
-    r = ByteReader(buf, path, DatasetFormatError)
-    magic = r.take(4, "magic")
-    if magic != DATASET_MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {magic!r}, expected {DATASET_MAGIC!r}")
-    version = r.u32("version")
-    if version not in (1, DATASET_VERSION):
-        raise DatasetFormatError(f"{path}: unsupported version {version}")
+    r = open_reader(path, DATASET_MAGIC, DATASET_VERSION, DatasetFormatError)
     n_samples = r.u32("sample count")
     n = r.u32("pair count")
     nt = r.u32("antenna count")
     if n < 1 or nt < 1 or n_samples < 1:
         raise DatasetFormatError(f"{path}: invalid header counts ({n_samples}, {n}, {nt})")
-    p_max = struct.unpack("<d", r.take(8, "p_max"))[0] if version == DATASET_VERSION else 1.0
+    p_max = struct.unpack("<d", r.take(8, "p_max"))[0]
     if not 0.0 < p_max < math.inf:
         raise DatasetFormatError(f"{path}: p_max {p_max} is not finite and positive")
 
@@ -376,7 +366,7 @@ def read_dataset(path) -> list[Sample]:
         tx = r.f32(2 * n, f"sample {k} TX positions").reshape(n, 2)
         rx = r.f32(2 * n, f"sample {k} RX positions").reshape(n, 2)
         h_pairs = r.f32(2 * n * n * nt, f"sample {k} channels").reshape(n, n, nt, 2)
-        h = h_pairs[..., 0] + 1j * h_pairs[..., 1]
+        h = h_pairs.view(np.complex128)[..., 0]  # keeps the sign of a zero part
         w = r.f32(n, f"sample {k} weights")
         sigma2 = r.f32(n, f"sample {k} noise powers")
         if np.any(sigma2 <= 0.0):

@@ -75,8 +75,8 @@ class TrainReport:
     the lengths always match. Epoch 0 is the untrained model; its test
     sum rate is kept separately and participates in checkpoint
     selection. best_test_sum_rate is the test sum rate of the returned
-    checkpoint (epoch best_epoch, before its f32 rounding), or nan if
-    that epoch was not evaluated or there is no test set.
+    checkpoint (epoch best_epoch, rounded through f32 as saved), or nan
+    if that epoch was not evaluated or there is no test set.
     """
 
     train_loss: list = field(default_factory=list)
@@ -190,17 +190,17 @@ def train(train_set, cfg: TrainConfig, test_set=None):
     t0 = time.perf_counter()
     select_on = cfg.select_on if test_set else "train"
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    params = init_params(cfg.arch, cfg.seed)
-    arrays = params.flat()  # Adam updates these in place, so params stays current
+    arrays = init_params(cfg.arch, cfg.seed).flat()  # Adam updates these in place
     adam = Adam(lr=cfg.lr)
     report = TrainReport()
 
-    # Epoch 0 (untrained) is a checkpoint candidate.
-    best_arrays = [a.copy() for a in arrays]
+    # Epoch 0 (untrained) is a checkpoint candidate. Candidates are
+    # rounded through f32 and scored as their saved file holds them.
+    best_arrays = [_snap_f32(a) for a in arrays]
     best_epoch = 0
     if test_set:
-        report.initial_test_sum_rate = evaluate(cfg.arch, params, test_set,
-                                                full_interference=cfg.full_interference)
+        report.initial_test_sum_rate = evaluate(cfg.arch, rebuild_params(cfg.arch, best_arrays),
+                                                test_set, full_interference=cfg.full_interference)
     best_score = report.initial_test_sum_rate if select_on == "test" else float("-inf")
     best_test = last_test = report.initial_test_sum_rate
 
@@ -224,11 +224,13 @@ def train(train_set, cfg: TrainConfig, test_set=None):
             epoch_losses.append(batch_loss)
         report.train_loss.append(float(np.mean(epoch_losses)))
 
+        candidate = [_snap_f32(a) for a in arrays]
         if select_on == "train":
             score = -report.train_loss[-1]
         evaluated = test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs)
         if evaluated:
-            last_test = evaluate(cfg.arch, params, test_set, full_interference=cfg.full_interference)
+            last_test = evaluate(cfg.arch, rebuild_params(cfg.arch, candidate), test_set,
+                                 full_interference=cfg.full_interference)
             if select_on == "test":
                 score = last_test
         elif select_on == "test":
@@ -239,9 +241,9 @@ def train(train_set, cfg: TrainConfig, test_set=None):
             best_score = score
             best_epoch = epoch
             best_test = last_test if evaluated else float("nan")
-            best_arrays = [a.copy() for a in arrays]
+            best_arrays = candidate
 
-    final = rebuild_params(cfg.arch, [_snap_f32(a) for a in best_arrays])
+    final = rebuild_params(cfg.arch, best_arrays)
     report.best_epoch = best_epoch
     report.best_test_sum_rate = best_test
     report.wall_time_s = time.perf_counter() - t0

@@ -381,7 +381,7 @@ def test_criterion_8_determinism_and_formats(tmp_path):
 
     ta, tb = tmp_path / "ta", tmp_path / "tb"
     train_args = ["--data", str(ga), "--ranks", "2,2", "--epochs", "2",
-                  "--batch-size", "4", "--deterministic"]
+                  "--batch-size", "4"]
     assert main(["train", "--out", str(ta)] + train_args) == 0
     assert main(["train", "--out", str(tb)] + train_args) == 0
     train_ok = all(

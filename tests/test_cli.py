@@ -6,6 +6,7 @@ import json
 import os
 import re
 import resource
+import struct
 import subprocess
 import sys
 import time
@@ -222,6 +223,21 @@ class TestTrain:
         assert (tmp_path / "U" / "model.bin").read_bytes() == (
             tmp_path / "T" / "model.bin").read_bytes()
 
+    def test_report_rate_of_the_saved_epoch_is_its_eval_rate(self, tmp_path):
+        data, run, ev = tmp_path / "G", tmp_path / "T", tmp_path / "E"
+        assert main(["gen-data", "--out", str(data), "--pairs", "3", "--antennas", "4",
+                     "--train", "8", "--test", "8", "--seed", "1"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "6",
+                     "--batch-size", "4", "--lr", "0.3", "--select-on", "train"]) == 0
+        assert main(["eval", "--model", str(run / "model.bin"), "--data", str(data / "test.bin"),
+                     "--out", str(ev)]) == 0
+        with open(run / "train_report.csv") as f:
+            reported = {row["epoch"]: float(row["test_sum_rate"]) for row in csv.DictReader(f)}
+        with open(ev / "eval.csv") as f:
+            mean = float(next(row[1] for row in csv.reader(f) if row[0] == "mean"))
+        # Epoch 2 is the saved checkpoint (see the summary test above).
+        assert reported["2"] == mean
+
     def test_zero_rank_rejected(self, data_dir, tmp_path, capsys):
         rc = main([
             "train", "--data", str(data_dir), "--out", str(tmp_path), "--ranks", "0,4",
@@ -372,6 +388,23 @@ class TestEval:
         assert err == "error: reference model has non-positive mean sum rate 0.0\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("target", ["model", "data"])
+    def test_version_1_file_is_one_line_error(self, data_dir, model_dir, tmp_path, capsys, target):
+        # A version 1 file is a version 2 file without the stored p_max
+        # (dataset: bytes 20-27), or p_max and n_rounds (model: bytes 24-35).
+        files = {"model": model_dir / "model.bin", "data": data_dir / "test.bin"}
+        lo, hi = (24, 36) if target == "model" else (20, 28)
+        raw = files[target].read_bytes()
+        files[target] = tmp_path / "v1.bin"
+        files[target].write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:lo] + raw[hi:])
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(files["model"]), "--data", str(files["data"]),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unsupported version 1, expected 2" in err
+
     def test_missing_model_file(self, data_dir, tmp_path):
         rc = main([
             "eval", "--model", str(tmp_path / "no.bin"),
@@ -447,14 +480,16 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "kind: dense, Nt=512" in out
         assert "1806336" in out
+        assert "3 rounds\npower budget p_max: 1.0\n" in out
 
         lr = tmp_path / "lr.bin"
-        arch2 = MpgnnArch(n_tx_antennas=512, kind="low_rank", rank1=4, rank2=4)
+        arch2 = MpgnnArch(n_tx_antennas=512, kind="low_rank", rank1=4, rank2=4, n_rounds=2, p_max=0.25)
         save_model(lr, arch2, init_params(arch2, 0))
         assert main(["inspect", "--model", str(lr)]) == 0
         out = capsys.readouterr().out
         assert "low_rank (a1=4, a2=4)" in out
         assert "29696" in out
+        assert "2 rounds\npower budget p_max: 0.25\n" in out
 
     def test_corrupt_model_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -556,13 +591,26 @@ class TestConfigFile:
 
     def test_boolean_values_in_train_config(self, data_dir, tmp_path):
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("deterministic = yes\nepochs = 1\nbatch_size = 6\n")
+        cfg.write_text("full_interference = yes\nepochs = 1\nbatch_size = 6\n")
         out = tmp_path / "out"
         rc = main(["train", "--data", str(data_dir), "--out", str(out),
                    "--config", str(cfg)])
         assert rc == 0
         echo = json.loads((out / "train_config.json").read_text())
-        assert echo["deterministic"] is True and echo["epochs"] == 1
+        assert echo["full_interference"] is True and echo["epochs"] == 1
+
+    def test_deterministic_is_not_a_setting(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["train", "--data", str(data_dir), "--out", str(out), "--deterministic"])
+        assert e.value.code == 2
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("deterministic = yes\n")
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg)])
+        assert rc == 2
+        assert "unknown config key 'deterministic'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConsoleScript:

@@ -19,7 +19,7 @@ COMMANDS = ["gen-data", "train", "eval", "analyze", "inspect"]
 # The CLI's own defaults; every other setting takes its library default.
 CLI_DEFAULTS = {
     "gen-data": {"pairs": 3, "antennas": 8, "train": 2000, "test": 500},
-    "train": {"ranks": "dense", "deterministic": False},
+    "train": {"ranks": "dense"},
 }
 
 

@@ -1,7 +1,8 @@
-"""Readers on corrupted bytes: small valid LRGD (versions 2 and 1) and
-LRGM files are truncated or partly overwritten, and every result must either load or
-raise a FormatError, without a warning; `lrgnn eval` on it must exit 0,
-or 1 with one `error:` line, and never raise."""
+"""Readers on corrupted bytes: small valid LRGD and LRGM files are
+truncated or partly overwritten, and every result must either load or
+raise a FormatError, without a warning. What loads must be valid bytes:
+saving it again reproduces the corrupted file exactly. `lrgnn eval` on
+it must exit 0, or 1 with one `error:` line, and never raise."""
 
 import struct
 import warnings
@@ -26,14 +27,14 @@ def files(tmp_path_factory):
     write_dataset(samples, root / "valid.bin")
     arch = MpgnnArch(n_tx_antennas=1, kind="low_rank", rank1=2, rank2=2)
     save_model(root / "valid_model.bin", arch, init_params(arch, 0))
+    # The model_header target corrupts only the 36-byte file header of
+    # a dense model, whose rank fields are zero.
+    arch = MpgnnArch(n_tx_antennas=1)
+    save_model(root / "valid_dense.bin", arch, init_params(arch, 0))
     dataset = (root / "valid.bin").read_bytes()
     assert dataset[20:28] == struct.pack("<d", 2.0)
-    # Version 1: the same samples without the stored p_max.
-    v1 = dataset[:4] + struct.pack("<I", 1) + dataset[8:20] + dataset[28:]
-    (root / "valid_v1.bin").write_bytes(v1)
-    assert [s.scenario.p_max for s in read_dataset(root / "valid_v1.bin")] == [1.0, 1.0]
-    return root, {"dataset": dataset, "dataset_v1": v1,
-                  "model": (root / "valid_model.bin").read_bytes()}
+    return root, {"dataset": dataset, "model": (root / "valid_model.bin").read_bytes(),
+                  "model_header": (root / "valid_dense.bin").read_bytes()}
 
 
 @st.composite
@@ -55,24 +56,31 @@ def corrupt(raw: bytes, corruption) -> bytes:
 FUZZ = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@pytest.mark.parametrize("target", ["dataset", "dataset_v1", "model"])
+@pytest.mark.parametrize("target", ["dataset", "model", "model_header"])
 @FUZZ
 @given(data=st.data())
 def test_corrupt_file_loads_or_raises_format_error(files, target, data, capsys):
     root, valid = files
     raw = valid[target]
-    bad = corrupt(raw, data.draw(corruptions(len(raw))))
+    bad = corrupt(raw, data.draw(corruptions(36 if target == "model_header" else len(raw))))
+    is_model = target != "dataset"
     path = root / f"bad_{target}.bin"
     path.write_bytes(bad)
+    resaved = root / f"resaved_{target}.bin"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            (load_model if target == "model" else read_dataset)(path)
+            if is_model:
+                save_model(resaved, *load_model(path))
+            else:
+                write_dataset(read_dataset(path), resaved)
         except FormatError:
             pass
+        else:
+            assert resaved.read_bytes() == bad
 
-    data_path = root / "valid.bin" if target == "model" else path
-    model_path = path if target == "model" else root / "valid_model.bin"
+    data_path = root / "valid.bin" if is_model else path
+    model_path = path if is_model else root / "valid_model.bin"
     capsys.readouterr()
     rc = main(["eval", "--model", str(model_path), "--data", str(data_path), "--out", str(root / "eval")])
     err = capsys.readouterr().err

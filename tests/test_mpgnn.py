@@ -405,19 +405,31 @@ class TestModelFiles:
         assert arch2 == arch
         assert arch2.p_max == 4.0 and arch2.n_rounds == 2
 
-    def test_version_1_loads_with_defaults(self, tmp_path):
+    def test_version_1_is_refused(self, tmp_path):
         # A v1 file is a v2 file without the 12 bytes of p_max and n_rounds.
         arch = MpgnnArch(n_tx_antennas=2, p_max=4.0, n_rounds=2)
-        params = rebuild_params(arch, [a.astype(np.float32).astype(np.float64)
-                                       for a in init_params(arch, 0).flat()])
         p = tmp_path / "m.bin"
-        save_model(p, arch, params)
+        save_model(p, arch, init_params(arch, 0))
         raw = p.read_bytes()
         p.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:24] + raw[36:])
-        arch1, loaded = load_model(p)
-        assert arch1 == MpgnnArch(n_tx_antennas=2)
-        for a, b in zip(params.flat(), loaded.flat()):
-            np.testing.assert_array_equal(a, b)
+        with pytest.raises(ModelFormatError, match="unsupported version 1, expected 2"):
+            load_model(p)
+
+    @pytest.mark.parametrize("arch, offset, raw_value, field", [
+        (MpgnnArch(n_tx_antennas=2), 8, struct.pack("<I", 2), "flags"),
+        (MpgnnArch(n_tx_antennas=2), 8, struct.pack("<I", 0xFFFFFFFE), "flags"),
+        (MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=2, rank2=3), 8, struct.pack("<I", 3), "flags"),
+        (MpgnnArch(n_tx_antennas=2), 16, struct.pack("<I", 5), "dense architectures take no ranks"),
+        (MpgnnArch(n_tx_antennas=2), 20, struct.pack("<I", 7), "dense architectures take no ranks"),
+    ], ids=["dense-flags-2", "dense-flags-fffffffe", "low-rank-flags-3", "dense-rank1-5", "dense-rank2-7"])
+    def test_header_bytes_the_writer_never_writes(self, tmp_path, arch, offset, raw_value, field):
+        p = tmp_path / "m.bin"
+        save_model(p, arch, init_params(arch, 0))
+        raw = bytearray(p.read_bytes())
+        raw[offset:offset + 4] = raw_value
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(p)
 
     @pytest.mark.parametrize("field, offset, raw_value", [
         ("p_max", 24, struct.pack("<d", math.nan)),

@@ -174,6 +174,17 @@ class TestSinr:
         hi = sinr(hi_s, q, sample.graph.edges)
         assert np.all(hi < lo)
 
+    def test_tiny_noise_power_is_used_as_is(self):
+        # At 310 dB the noise power is about 1e-31: a vertex without
+        # interferers has SINR |h^H q|^2 / sigma^2, however large.
+        s = generate_scenario(ScenarioConfig(n_pairs=3, n_tx_antennas=4, snr_db=310.0), seed=0)
+        assert np.all(s.noise_powers < 1e-30)
+        q = baseline_beamformers(s, "mrt")
+        r = report(s, q, edges=np.empty((0, 2), dtype=np.intp))
+        diag = s.channels[np.arange(3), np.arange(3)]
+        want = np.abs(np.sum(diag.conj() * q, axis=1)) ** 2 / s.noise_powers
+        np.testing.assert_allclose(r.sinr, want, rtol=1e-12)
+
     def test_nonpositive_noise_rejected(self):
         s, q, edges = two_user_case()
         bad = make_scenario(s.channels, 0.0)

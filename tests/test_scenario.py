@@ -265,21 +265,34 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="sample 1 has p_max 2.0, expected 1.0"):
             write_dataset(a + c, tmp_path / "x.bin")
 
+    @pytest.mark.parametrize("part", [0, 4])
+    def test_negative_zero_channel_part_rewrites_to_the_same_bytes(self, tmp_path, part):
+        p, q = tmp_path / "p.bin", tmp_path / "q.bin"
+        write_dataset(generate_dataset(small_cfg(), 1), p)
+        raw = bytearray(p.read_bytes())
+        # 28-byte header, then 4 pairs' TX and RX xy; then the first
+        # channel entry's real part (part 0) and imaginary part (part 4).
+        at = 28 + 2 * 4 * 8 + part
+        raw[at:at + 4] = struct.pack("<f", -0.0)
+        p.write_bytes(bytes(raw))
+        write_dataset(read_dataset(p), q)
+        assert q.read_bytes() == bytes(raw)
+
     def test_power_budget_roundtrip(self, tmp_path):
         p = tmp_path / "p.bin"
         write_dataset(generate_dataset(small_cfg(p_max=4.0), 2), p)
         assert p.read_bytes()[20:28] == struct.pack("<d", 4.0)
         assert [s.scenario.p_max for s in read_dataset(p)] == [4.0, 4.0]
 
-    def test_version_1_loads_with_unit_power_budget(self, tmp_path):
+    def test_version_1_is_refused(self, tmp_path):
+        # A v1 file is a v2 file without the 8 bytes of p_max.
         samples = generate_dataset(small_cfg(p_max=4.0), 2)
         p = tmp_path / "v1.bin"
         write_dataset(samples, p)
         raw = p.read_bytes()
         p.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:20] + raw[28:])
-        back = read_dataset(p)
-        assert [s.scenario.p_max for s in back] == [1.0, 1.0]
-        np.testing.assert_array_equal(back[1].scenario.channels, samples[1].scenario.channels)
+        with pytest.raises(DatasetFormatError, match="unsupported version 1, expected 2"):
+            read_dataset(p)
 
     @pytest.mark.parametrize("p_max", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_stored_power_budget_reported(self, tmp_path, p_max):

@@ -75,10 +75,7 @@ _TRAIN = (trainer.TrainConfig, (
     _Setting("batch_size", int),
     _Setting("lr", float),
     _Setting("seed", int),
-    _Setting("eval_every", int),
-    _Setting("select_on", str, None, trainer._SELECT_MODES),
     _Setting("p_max", float),
-    _Setting("full_interference", bool, "ignore the edge threshold in the loss"),
 ))
 
 
@@ -95,13 +92,6 @@ def _library_kwargs(library, resolved: dict) -> dict:
 
 
 def _parse_value(key: str, raw: str, typ):
-    if typ is bool:
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise UsageError(f"config key {key!r}: expected a boolean, got {raw!r}")
     try:
         return typ(raw)
     except ValueError:
@@ -213,10 +203,8 @@ def cmd_train(args) -> int:
     print(f"arch {resolved['ranks']} at Nt={nt}: {counts.total} weight parameters")
     print(f"best epoch {report.best_epoch}, checksum {report.params_checksum[:16]}")
     if test_set:
-        best = report.best_test_sum_rate
-        saved = "not evaluated" if np.isnan(best) else f"{best:.4f}"
         print(f"test sum rate: {report.initial_test_sum_rate:.4f} (untrained) -> "
-              f"{saved} (saved, epoch {report.best_epoch})")
+              f"{report.best_test_sum_rate:.4f} (saved, epoch {report.best_epoch})")
     print(f"wall time {report.wall_time_s:.1f}s; model and report in {args.out}")
     return 0
 
@@ -311,10 +299,7 @@ def _add_settings(parser, library, table) -> None:
     for s in table:
         flag = "--" + s.key.replace("_", "-")
         text = s.help and s.help.format(default=defaults[s.key])
-        if s.type is bool:
-            parser.add_argument(flag, action="store_const", const=True, default=None, help=text)
-        else:
-            parser.add_argument(flag, type=s.type, choices=s.choices, help=text)
+        parser.add_argument(flag, type=s.type, choices=s.choices, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,9 +31,7 @@ from .autodiff import Tensor, value
 from .mpgnn import MpgnnArch, MpgnnParams, forward_real, init_params, rebuild_params
 from .nn import Adam
 from .objective import rate_report, wsr_from_real
-from .scenario import Graph, _snap_f32, graph_from_edges, interference_edges
-
-_SELECT_MODES = ("test", "train")
+from .scenario import Graph, _snap_f32
 
 # Samples per disjoint-union graph. Larger unions were no faster per
 # sample and a tape's memory grows with its union.
@@ -47,9 +45,6 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 50
     seed: int = 0
-    eval_every: int = 1
-    select_on: str = "test"
-    full_interference: bool = False
 
     def __post_init__(self):
         if not math.isfinite(self.lr) or self.lr < 0.0:
@@ -58,25 +53,19 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.select_on not in _SELECT_MODES:
-            raise ValueError(f"select_on must be one of {_SELECT_MODES}")
 
 
 @dataclass
 class TrainReport:
     """Per-epoch training curves plus provenance for reproducibility.
 
-    train_loss and test_sum_rate have one entry per epoch; between
-    evaluation epochs the last computed test value is carried forward so
-    the lengths always match. Epoch 0 is the untrained model; its test
-    sum rate is kept separately and participates in checkpoint
-    selection. best_test_sum_rate is the test sum rate of the returned
-    checkpoint (epoch best_epoch, rounded through f32 as saved), or nan
-    if that epoch was not evaluated or there is no test set.
+    train_loss and test_sum_rate have one entry per epoch. Epoch 0 is
+    the untrained model; its test sum rate is kept separately and
+    participates in checkpoint selection. best_test_sum_rate is the test
+    sum rate of the returned checkpoint (epoch best_epoch, rounded
+    through f32 as saved). Without a test set every test value is nan.
     """
 
     train_loss: list = field(default_factory=list)
@@ -113,30 +102,22 @@ def _union(graphs) -> tuple[Graph, np.ndarray]:
     return union, offsets
 
 
-def _unions(samples, full_interference: bool):
-    """(graph, rated, offsets) per union of up to _UNION_SIZE samples:
-    the union the model runs on, the one the rates read (the same unless
-    full_interference), and the vertex offsets."""
+def _unions(samples):
+    """(graph, offsets) per union of up to _UNION_SIZE samples."""
     for lo in range(0, len(samples), _UNION_SIZE):
-        chunk = samples[lo : lo + _UNION_SIZE]
-        graph, offsets = _union([g for _, g in chunk])
-        if full_interference:
-            rated, _ = _union([graph_from_edges(s, interference_edges(s, np.inf)) for s, _ in chunk])
-        else:
-            rated = graph
-        yield graph, rated, offsets
+        yield _union([g for _, g in samples[lo : lo + _UNION_SIZE]])
 
 
-def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
+def _batch_grad(arch: MpgnnArch, arrays: list, batch):
     """Summed loss (negative WSR) of a batch and its summed parameter
     gradients: one tape per union of up to _UNION_SIZE samples, union
     gradients added in union order."""
     loss = 0.0
     totals = [np.zeros_like(a) for a in arrays]
-    for graph, rated, _ in _unions(batch, full_interference):
+    for graph, _ in _unions(batch):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
         q = forward_real(graph, rebuild_params(arch, tensors), arch)
-        neg = -wsr_from_real(rated, q)
+        neg = -wsr_from_real(graph, q)
         neg.backward()
         loss += float(neg.data)
         for total, t in zip(totals, tensors):
@@ -145,9 +126,7 @@ def _batch_grad(arch: MpgnnArch, arrays: list, batch, full_interference: bool):
     return loss, totals
 
 
-def sample_rates(
-    arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False
-) -> np.ndarray:
+def sample_rates(arch: MpgnnArch, params: MpgnnParams, samples) -> np.ndarray:
     """Weighted sum rate of each sample, in dataset order; never mutates
     params.
 
@@ -160,26 +139,38 @@ def sample_rates(
     if not samples:
         raise ValueError("empty dataset")
     rates = []
-    for graph, rated, offsets in _unions(samples, full_interference):
-        weighted = rate_report(rated, value(forward_real(graph, params, arch))).weighted_rate
+    for graph, offsets in _unions(samples):
+        weighted = rate_report(graph, value(forward_real(graph, params, arch))).weighted_rate
         rates += [np.add.reduce(weighted[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
     return np.array(rates)
 
 
-def evaluate(arch: MpgnnArch, params: MpgnnParams, samples, *, full_interference: bool = False) -> float:
+def evaluate(arch: MpgnnArch, params: MpgnnParams, samples) -> float:
     """Mean weighted sum rate over a dataset; never mutates params."""
-    return float(np.mean(sample_rates(arch, params, samples, full_interference=full_interference)))
+    return float(np.mean(sample_rates(arch, params, samples)))
+
+
+def _checkpoint(arch: MpgnnArch, arrays: list, test_set, epoch: int):
+    """An epoch's checkpoint candidate, rounded through f32 as its saved
+    file holds it, and its test sum rate (nan without a test set). An
+    overflow or NaN raises, as in the batches."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            candidate = [_snap_f32(a) for a in arrays]
+            rate = evaluate(arch, rebuild_params(arch, candidate), test_set) if test_set else float("nan")
+    except FloatingPointError as err:
+        raise FloatingPointError(f"epoch {epoch}, checkpoint: {err}") from None
+    return candidate, rate
 
 
 def train(train_set, cfg: TrainConfig, test_set=None):
     """Train from a fresh seeded init; returns (params, TrainReport).
 
-    The returned parameters are the best checkpoint: highest test sum
-    rate seen at evaluation epochs (including epoch 0, so the result is
-    never worse than the untrained model), or lowest epoch train loss
-    when select_on="train" or no test set is given. Values are rounded
-    through f32 so an in-memory result and its saved file evaluate
-    identically.
+    Every epoch is scored on the test set when one is given. The
+    returned parameters are the best checkpoint: highest test sum rate
+    (including epoch 0, so the result is never worse than the untrained
+    model), or lowest epoch train loss when no test set is given. Values are rounded through f32
+    so an in-memory result and its saved file evaluate identically.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -188,21 +179,15 @@ def train(train_set, cfg: TrainConfig, test_set=None):
         raise ValueError(f"dataset carries Nt={nt}, arch expects {cfg.arch.n_tx_antennas}")
 
     t0 = time.perf_counter()
-    select_on = cfg.select_on if test_set else "train"
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     arrays = init_params(cfg.arch, cfg.seed).flat()  # Adam updates these in place
     adam = Adam(lr=cfg.lr)
     report = TrainReport()
 
-    # Epoch 0 (untrained) is a checkpoint candidate. Candidates are
-    # rounded through f32 and scored as their saved file holds them.
-    best_arrays = [_snap_f32(a) for a in arrays]
+    # Epoch 0 (untrained) is a checkpoint candidate when there is a test set.
+    best_arrays, report.initial_test_sum_rate = _checkpoint(cfg.arch, arrays, test_set, 0)
     best_epoch = 0
-    if test_set:
-        report.initial_test_sum_rate = evaluate(cfg.arch, rebuild_params(cfg.arch, best_arrays),
-                                                test_set, full_interference=cfg.full_interference)
-    best_score = report.initial_test_sum_rate if select_on == "test" else float("-inf")
-    best_test = last_test = report.initial_test_sum_rate
+    best_score = report.initial_test_sum_rate if test_set else float("-inf")
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(train_set))
@@ -212,7 +197,7 @@ def train(train_set, cfg: TrainConfig, test_set=None):
             # An op that overflows or makes a NaN raises; NaN inputs meet the loss check.
             try:
                 with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    batch_loss, totals = _batch_grad(cfg.arch, arrays, batch, cfg.full_interference)
+                    batch_loss, totals = _batch_grad(cfg.arch, arrays, batch)
                     batch_loss /= len(batch)
                     if not np.isfinite(batch_loss):
                         raise FloatingPointError("non-finite loss")
@@ -224,28 +209,15 @@ def train(train_set, cfg: TrainConfig, test_set=None):
             epoch_losses.append(batch_loss)
         report.train_loss.append(float(np.mean(epoch_losses)))
 
-        candidate = [_snap_f32(a) for a in arrays]
-        if select_on == "train":
-            score = -report.train_loss[-1]
-        evaluated = test_set and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs)
-        if evaluated:
-            last_test = evaluate(cfg.arch, rebuild_params(cfg.arch, candidate), test_set,
-                                 full_interference=cfg.full_interference)
-            if select_on == "test":
-                score = last_test
-        elif select_on == "test":
-            score = float("-inf")  # not evaluated this epoch, cannot win
-        report.test_sum_rate.append(last_test)
-
+        candidate, rate = _checkpoint(cfg.arch, arrays, test_set, epoch)
+        report.test_sum_rate.append(rate)
+        score = rate if test_set else -report.train_loss[-1]
         if score > best_score:
-            best_score = score
-            best_epoch = epoch
-            best_test = last_test if evaluated else float("nan")
-            best_arrays = candidate
+            best_score, best_epoch, best_arrays = score, epoch, candidate
 
     final = rebuild_params(cfg.arch, best_arrays)
     report.best_epoch = best_epoch
-    report.best_test_sum_rate = best_test
+    report.best_test_sum_rate = best_score if test_set else float("nan")
     report.wall_time_s = time.perf_counter() - t0
     report.params_checksum = params_checksum(final)
     return final, report

@@ -200,15 +200,13 @@ class TestTrain:
             assert json.loads((out / "train_config.json").read_text())["p_max"] == want
 
     def test_summary_prints_the_saved_checkpoints_rate(self, tmp_path, capsys):
-        # With --select-on train the saved epoch (2) is not the one with
-        # the best test rate (1).
+        # The saved epoch (1) is neither the untrained model nor the last epoch (6).
         data = tmp_path / "G"
         assert main(["gen-data", "--out", str(data), "--pairs", "3", "--antennas", "4",
                      "--train", "8", "--test", "8", "--seed", "1"]) == 0
-        train = ["train", "--data", str(data), "--epochs", "6", "--batch-size", "4",
-                 "--lr", "0.3", "--select-on", "train"]
         capsys.readouterr()
-        assert main(train + ["--out", str(tmp_path / "T")]) == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "T"), "--epochs", "6",
+                     "--batch-size", "4", "--lr", "0.3"]) == 0
         printed = re.search(r"test sum rate: \S+ \(untrained\) -> (\S+) (.*)", capsys.readouterr().out)
         assert main(["eval", "--model", str(tmp_path / "T" / "model.bin"),
                      "--data", str(data / "test.bin"), "--out", str(tmp_path / "E")]) == 0
@@ -216,27 +214,36 @@ class TestTrain:
             mean = float(next(row[1] for row in csv.reader(f) if row[0] == "mean"))
         # The summary prints 4 decimals of the rate.
         assert abs(float(printed.group(1)) - round(mean, 4)) <= 1e-12
-        assert printed.group(2) == "(saved, epoch 2)"
-        # The same run evaluating only epochs 4 and 6 cannot report epoch 2's rate.
-        assert main(train + ["--out", str(tmp_path / "U"), "--eval-every", "4"]) == 0
-        assert "-> not evaluated (saved, epoch 2)" in capsys.readouterr().out
-        assert (tmp_path / "U" / "model.bin").read_bytes() == (
-            tmp_path / "T" / "model.bin").read_bytes()
+        assert printed.group(2) == "(saved, epoch 1)"
 
     def test_report_rate_of_the_saved_epoch_is_its_eval_rate(self, tmp_path):
         data, run, ev = tmp_path / "G", tmp_path / "T", tmp_path / "E"
         assert main(["gen-data", "--out", str(data), "--pairs", "3", "--antennas", "4",
                      "--train", "8", "--test", "8", "--seed", "1"]) == 0
         assert main(["train", "--data", str(data), "--out", str(run), "--epochs", "6",
-                     "--batch-size", "4", "--lr", "0.3", "--select-on", "train"]) == 0
+                     "--batch-size", "4", "--lr", "0.3"]) == 0
         assert main(["eval", "--model", str(run / "model.bin"), "--data", str(data / "test.bin"),
                      "--out", str(ev)]) == 0
         with open(run / "train_report.csv") as f:
             reported = {row["epoch"]: float(row["test_sum_rate"]) for row in csv.DictReader(f)}
         with open(ev / "eval.csv") as f:
             mean = float(next(row[1] for row in csv.reader(f) if row[0] == "mean"))
-        # Epoch 2 is the saved checkpoint (see the summary test above).
-        assert reported["2"] == mean
+        # Epoch 1 is the saved checkpoint (see the summary test above), and
+        # it is the best rate of the run.
+        assert reported["1"] == mean == max(reported.values())
+
+    @pytest.mark.parametrize("with_test_set", [False, True])
+    def test_checkpoint_overflow_is_one_error_line(self, data_dir, tmp_path, capsys, with_test_set):
+        data = data_dir
+        if not with_test_set:
+            data = tmp_path / "train_only"
+            data.mkdir()
+            (data / "train.bin").write_bytes((data_dir / "train.bin").read_bytes())
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", "--lr", "1e39"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: epoch 1, checkpoint: overflow encountered in cast\n"
+        assert not out.exists()
 
     def test_zero_rank_rejected(self, data_dir, tmp_path, capsys):
         rc = main([
@@ -589,27 +596,24 @@ class TestConfigFile:
         assert rc == 2
         assert "expected int" in capsys.readouterr().err
 
-    def test_boolean_values_in_train_config(self, data_dir, tmp_path):
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text("full_interference = yes\nepochs = 1\nbatch_size = 6\n")
-        out = tmp_path / "out"
-        rc = main(["train", "--data", str(data_dir), "--out", str(out),
-                   "--config", str(cfg)])
-        assert rc == 0
-        echo = json.loads((out / "train_config.json").read_text())
-        assert echo["full_interference"] is True and echo["epochs"] == 1
+    # Removed train settings, each with a value it used to take (None
+    # for a switch).
+    REMOVED = {"deterministic": None, "full_interference": None, "select_on": "test", "eval_every": "1"}
 
-    def test_deterministic_is_not_a_setting(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("key", list(REMOVED))
+    def test_removed_setting_is_rejected(self, data_dir, tmp_path, capsys, key):
+        value = self.REMOVED[key]
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as e:
-            main(["train", "--data", str(data_dir), "--out", str(out), "--deterministic"])
+            main(["train", "--data", str(data_dir), "--out", str(out), "--" + key.replace("_", "-")]
+                 + ([value] if value else []))
         assert e.value.code == 2
         cfg = tmp_path / "train.cfg"
-        cfg.write_text("deterministic = yes\n")
+        cfg.write_text(f"{key} = {value or 'yes'}\n")
         capsys.readouterr()
         rc = main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg)])
         assert rc == 2
-        assert "unknown config key 'deterministic'" in capsys.readouterr().err
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
 

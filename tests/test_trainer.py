@@ -10,14 +10,7 @@ import pytest
 from lrgnn.autodiff import Tensor
 from lrgnn.mpgnn import MpgnnArch, forward, forward_real, init_params, load_model, rebuild_params, save_model
 from lrgnn.objective import weighted_sum_rate, wsr_from_real
-from lrgnn.scenario import (
-    Sample,
-    Scenario,
-    ScenarioConfig,
-    generate_dataset,
-    graph_from_edges,
-    interference_edges,
-)
+from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset, graph_from_edges
 from lrgnn.trainer import (
     TrainConfig,
     _batch_grad,
@@ -66,10 +59,6 @@ class TestConfig:
             TrainConfig(arch=arch, batch_size=0)
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(arch=arch, epochs=0)
-        with pytest.raises(ValueError, match="eval_every"):
-            TrainConfig(arch=arch, eval_every=0)
-        with pytest.raises(ValueError, match="select_on"):
-            TrainConfig(arch=arch, select_on="val")
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(arch=arch, seed=-1)
 
@@ -117,9 +106,8 @@ class TestTrainBasics:
         assert report.train_loss[-1] < report.train_loss[0]
         got = evaluate(arch, final, test)
         assert got > report.initial_test_sum_rate
-        # The checkpoint is the best evaluated epoch (f32 rounding aside).
-        best = max([report.initial_test_sum_rate] + report.test_sum_rate)
-        assert got == pytest.approx(best, rel=1e-4)
+        # The checkpoint is the best epoch, scored as it is saved.
+        assert got == report.best_test_sum_rate == max([report.initial_test_sum_rate] + report.test_sum_rate)
 
     def test_never_worse_than_epoch_zero(self):
         arch = MpgnnArch(n_tx_antennas=2)
@@ -169,32 +157,23 @@ class TestTrainBasics:
         with pytest.raises(FloatingPointError, match=r"^epoch 1, batch 1: overflow"):
             train(dataset(4, seed=10), cfg)
 
+    @pytest.mark.parametrize("with_test_set", [False, True])
+    def test_checkpoint_overflow_reports_epoch(self, with_test_set):
+        # One batch per epoch: the step to ~1e39 stays finite in f64 but
+        # overflows the f32 rounding of the checkpoint candidate.
+        cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=2), lr=1e39, epochs=1, batch_size=4, seed=0)
+        test = dataset(2, seed=11) if with_test_set else None
+        with pytest.raises(FloatingPointError, match=r"^epoch 1, checkpoint: overflow encountered in cast$"):
+            train(dataset(4, seed=10), cfg, test)
+
 
 class TestSelectionAndSchedule:
-    def test_eval_every_carries_last_value_forward(self):
-        arch = MpgnnArch(n_tx_antennas=2)
-        cfg = TrainConfig(arch=arch, epochs=4, batch_size=4, seed=0, eval_every=3)
-        data, test = dataset(8, seed=11), dataset(4, seed=12)
-        _, report = train(data, cfg, test)
-        assert len(report.test_sum_rate) == 4
-        # Epochs 1 and 2 are not evaluation epochs: the initial value rides along.
-        assert report.test_sum_rate[0] == report.initial_test_sum_rate
-        assert report.test_sum_rate[1] == report.initial_test_sum_rate
-        # Epoch 3 (eval_every) and epoch 4 (final) are fresh evaluations.
-        assert report.test_sum_rate[2] != report.test_sum_rate[1]
-
-    def test_select_on_train_picks_lowest_loss_epoch(self):
-        arch = MpgnnArch(n_tx_antennas=2)
-        cfg = TrainConfig(arch=arch, epochs=5, batch_size=4, seed=1, select_on="train")
-        data, test = dataset(12, seed=13), dataset(4, seed=14)
-        _, report = train(data, cfg, test)
-        assert report.best_epoch == int(np.argmin(report.train_loss)) + 1
-
     def test_no_test_set_falls_back_to_train_selection(self):
         arch = MpgnnArch(n_tx_antennas=2)
         cfg = TrainConfig(arch=arch, epochs=3, batch_size=4, seed=2)
         _, report = train(dataset(8, seed=15), cfg)
-        assert report.best_epoch >= 1
+        assert report.best_epoch == int(np.argmin(report.train_loss)) + 1
+        assert math.isnan(report.best_test_sum_rate)
         assert math.isnan(report.initial_test_sum_rate)
         assert all(math.isnan(x) for x in report.test_sum_rate)
 
@@ -216,36 +195,33 @@ class TestEvaluate:
             evaluate(arch, init_params(arch, 0), [])
 
 
-def sample_loss_and_grads(arch, arrays, sample, full_interference):
+def sample_loss_and_grads(arch, arrays, sample):
     """Reference: one sample on its own tape, through wsr_from_real on
-    the sample's own graph (or its all-pairs graph)."""
+    the sample's own graph."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     q = forward_real(sample.graph, rebuild_params(arch, tensors), arch)
-    s = sample.scenario
-    rated = graph_from_edges(s, interference_edges(s, np.inf)) if full_interference else sample.graph
-    neg = -wsr_from_real(rated, q)
+    neg = -wsr_from_real(sample.graph, q)
     neg.backward()
     return float(neg.data), [t.grad if t.grad is not None else np.zeros_like(t.data) for t in tensors]
 
 
 class TestUnionBatches:
-    @pytest.mark.parametrize("full_interference", [False, True])
     @pytest.mark.parametrize("arch", [
         MpgnnArch(n_tx_antennas=2),
         MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=3, rank2=2),
     ], ids=["dense", "low_rank"])
-    def test_union_gradients_equal_per_sample_sum(self, arch, full_interference):
+    def test_union_gradients_equal_per_sample_sum(self, arch):
         # 21 samples: a full union of 16 and a partial one of 5. Pair
         # counts and edge counts vary, and sample 0 has no edges at all.
         batch = mixed_samples(21, edgeless=(0,))
 
         arrays = init_params(arch, 3).flat()
-        loss, grads = _batch_grad(arch, arrays, batch, full_interference)
+        loss, grads = _batch_grad(arch, arrays, batch)
 
         want_loss = 0.0
         want = [np.zeros_like(a) for a in arrays]
         for sample in batch:
-            l_s, g_s = sample_loss_and_grads(arch, arrays, sample, full_interference)
+            l_s, g_s = sample_loss_and_grads(arch, arrays, sample)
             want_loss += l_s
             for w, g in zip(want, g_s):
                 w += g
@@ -254,13 +230,11 @@ class TestUnionBatches:
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
-# SHA-256 of _batch_grad's loss and gradient bytes, per (ranks,
-# full_interference), and of a 2-epoch train's params_checksum per ranks.
+# SHA-256 of _batch_grad's loss and gradient bytes, and of a 2-epoch
+# train's params_checksum, per ranks.
 BATCH_GRAD_DIGESTS = {
-    (None, False): "efb52b310c2ece0cd4dd1494fcda0a131de971eb634087a3841bb22423454eb8",
-    (None, True): "e19a84617d09562aeceb22e277a68f8d84ce640e4b33e89b70a42c595c1d5bde",
-    ((2, 3), False): "3c56e6418a111e25cfeafddaf652bae09564073bdb7b0b8b8c6c5c3e39ba7d88",
-    ((2, 3), True): "094ffcc46c00e26be00c048c35d6a06424e5bc3451d46f4f3af18103459603a5",
+    None: "efb52b310c2ece0cd4dd1494fcda0a131de971eb634087a3841bb22423454eb8",
+    (2, 3): "3c56e6418a111e25cfeafddaf652bae09564073bdb7b0b8b8c6c5c3e39ba7d88",
 }
 TRAIN_CHECKSUMS = {
     None: "ac58d4f90f2aa57a3ecea17d9591f0f4595ba120f217667222336fab0f753927",
@@ -274,23 +248,21 @@ def test_batch_grad_digests_frozen(ranks):
     arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
     data = dataset(20, seed=11, nt=4)
     arrays = init_params(arch, 5).flat()
-    for full_interference in (False, True):
-        loss, grads = _batch_grad(arch, arrays, data, full_interference)
-        h = hashlib.sha256(np.float64(loss).tobytes())
-        for g in grads:
-            h.update(g.astype("<f8").tobytes())
-        assert h.hexdigest() == BATCH_GRAD_DIGESTS[ranks, full_interference]
+    loss, grads = _batch_grad(arch, arrays, data)
+    h = hashlib.sha256(np.float64(loss).tobytes())
+    for g in grads:
+        h.update(g.astype("<f8").tobytes())
+    assert h.hexdigest() == BATCH_GRAD_DIGESTS[ranks]
     _, report = train(data, TrainConfig(arch=arch, epochs=2, batch_size=8, seed=2), dataset(4, seed=12, nt=4))
     assert report.params_checksum == TRAIN_CHECKSUMS[ranks]
 
 
 class TestUnionScoring:
-    @pytest.mark.parametrize("full_interference", [False, True])
     @pytest.mark.parametrize("arch", [
         MpgnnArch(n_tx_antennas=2),
         MpgnnArch(n_tx_antennas=2, kind="low_rank", rank1=3, rank2=2),
     ], ids=["dense", "low_rank"])
-    def test_sample_rates_equal_per_sample_loop(self, arch, full_interference):
+    def test_sample_rates_equal_per_sample_loop(self, arch):
         # 37 samples: two full unions of 16 and a partial one of 5. Pair
         # and edge counts vary; samples 0 and 20 (inside the second
         # union, at a nonzero vertex offset) have no edges.
@@ -298,11 +270,10 @@ class TestUnionScoring:
         params = init_params(arch, 5)
         before = params_checksum(params)
 
-        got = sample_rates(arch, params, samples, full_interference=full_interference)
+        got = sample_rates(arch, params, samples)
 
         want = np.array([
-            weighted_sum_rate(s.scenario, forward(s.graph, params, arch),
-                              interference_edges(s.scenario, np.inf) if full_interference else s.graph.edges)
+            weighted_sum_rate(s.scenario, forward(s.graph, params, arch), s.graph.edges)
             for s in samples
         ])
         assert got.shape == want.shape == (37,)

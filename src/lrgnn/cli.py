@@ -1,13 +1,13 @@
 """Command-line pipeline: gen-data, train, eval, analyze, inspect.
 
 The settings of gen-data and train are declared once, one table per
-command: the flags, config keys, value types and library arguments all
-come from it. Settings resolve in three layers: defaults, then a
-key=value config file (--config), then explicit flags. The defaults are
-the library's (ScenarioConfig, TrainConfig) except for a few of the
-CLI's own; train's p_max defaults to the dataset's power budget.
-Unknown config keys are rejected. Every command that writes files also
-writes a JSON echo of its resolved settings, so a run can be
+command: the flags, value types, defaults and library arguments all
+come from it, and every setting is set by its flag alone. The defaults
+are the library's (ScenarioConfig, TrainConfig) except for a few of the
+CLI's own. A model's power budget is its training set's: train copies
+p_max from train.bin, and eval refuses a dataset whose Nt or p_max
+differs from its model's or reference's. Every command that writes
+files also writes a JSON echo of its settings, so a run can be
 reproduced from its output directory; outputs carry no timestamps,
 making same-seed runs byte-identical. Exit codes: 0 success, 1 runtime
 failure, 2 usage error.
@@ -32,14 +32,16 @@ from .scenario import ScenarioConfig, generate_dataset, read_dataset, write_data
 
 
 class UsageError(Exception):
-    """Bad invocation (unknown config key, malformed value): exit 2."""
+    """Bad invocation that argparse does not catch (malformed --ranks,
+    analyze without --model): exit 2."""
 
 
 class _Setting(NamedTuple):
-    """One setting of gen-data or train. The key is the config key and,
-    with '-' for '_', the flag. `default` is the CLI's own; without one
-    the setting takes its library dataclass's default (the field named
-    by _RENAMES, else the key). '{default}' in `help` shows the default."""
+    """One setting of gen-data or train. The key names it in the JSON
+    echo and, with '-' for '_', is its flag. `default` is the CLI's own;
+    without one the setting takes its library dataclass's default (the
+    field named by _RENAMES, else the key). '{default}' in `help` shows
+    the default."""
 
     key: str
     type: type
@@ -68,14 +70,12 @@ _GEN_DATA = (ScenarioConfig, (
     _Setting("weights_mode", str, None, scenario._WEIGHT_MODES),
 ))
 
-# p_max is not a TrainConfig field: it defaults to the dataset's.
 _TRAIN = (trainer.TrainConfig, (
     _Setting("ranks", str, "'dense' or 'a1,a2' (default {default})", default="dense"),
     _Setting("epochs", int),
     _Setting("batch_size", int),
     _Setting("lr", float),
     _Setting("seed", int),
-    _Setting("p_max", float),
 ))
 
 
@@ -91,40 +91,13 @@ def _library_kwargs(library, resolved: dict) -> dict:
     return {_RENAMES.get(k, k): v for k, v in resolved.items() if _RENAMES.get(k, k) in names}
 
 
-def _parse_value(key: str, raw: str, typ):
-    try:
-        return typ(raw)
-    except ValueError:
-        raise UsageError(f"config key {key!r}: expected {typ.__name__}, got {raw!r}") from None
-
-
-def _load_config(path, table) -> dict:
-    """key=value lines; '#' starts a comment; unknown keys are errors."""
-    types = {s.key: s.type for s in table}
-    out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in types:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_value(key, raw, types[key])
-    return out
-
-
-def _resolve(args, library, table) -> dict:
-    """defaults, overlaid by --config values, overlaid by explicit flags."""
-    resolved = _defaults(library, table)
-    if args.config:
-        resolved.update(_load_config(args.config, table))
-    for s in table:
-        if getattr(args, s.key) is not None:
-            resolved[s.key] = getattr(args, s.key)
-    return resolved
+def _require_match(path_a, a, path_b, b) -> None:
+    """a and b, each a Scenario or an MpgnnArch read from its file, must
+    agree on Nt and p_max; a mismatch names both files."""
+    for what, attr in (("Nt", "n_tx_antennas"), ("p_max", "p_max")):
+        x, y = getattr(a, attr), getattr(b, attr)
+        if x != y:
+            raise ValueError(f"{path_a} has {what}={x!r} but {path_b} has {what}={y!r}")
 
 
 def _write_echo(path, resolved: dict) -> None:
@@ -148,7 +121,7 @@ def _parse_ranks(raw: str) -> tuple:
 
 
 def cmd_gen_data(args) -> int:
-    resolved = _resolve(args, *_GEN_DATA)
+    resolved = {s.key: getattr(args, s.key) for s in _GEN_DATA[1]}
     if resolved["train"] < 1 or resolved["test"] < 0:
         raise ValueError("need at least 1 training sample and >= 0 test samples")
     cfg = ScenarioConfig(**_library_kwargs(ScenarioConfig, resolved))
@@ -168,22 +141,19 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(args, *_TRAIN)
+    resolved = {s.key: getattr(args, s.key) for s in _TRAIN[1]}
     train_path = os.path.join(args.data, "train.bin")
     train_set = read_dataset(train_path)
     test_path = os.path.join(args.data, "test.bin")
     test_set = read_dataset(test_path) if os.path.exists(test_path) else None
-    nt = train_set[0].scenario.n_tx_antennas
+    # read_dataset gives every sample its file's Nt and p_max.
+    data = train_set[0].scenario
     if test_set:
-        train_s, test_s = train_set[0].scenario, test_set[0].scenario
-        for what, a, b in (("Nt", nt, test_s.n_tx_antennas), ("p_max", train_s.p_max, test_s.p_max)):
-            if a != b:
-                raise ValueError(f"{train_path} has {what}={a!r} but {test_path} has {what}={b!r}")
-    if resolved["p_max"] is None:
-        resolved["p_max"] = train_set[0].scenario.p_max
+        _require_match(train_path, data, test_path, test_set[0].scenario)
 
     kind, rank1, rank2 = _parse_ranks(resolved["ranks"])
-    arch = MpgnnArch(n_tx_antennas=nt, kind=kind, rank1=rank1, rank2=rank2, p_max=resolved["p_max"])
+    nt = data.n_tx_antennas
+    arch = MpgnnArch(n_tx_antennas=nt, kind=kind, rank1=rank1, rank2=rank2, p_max=data.p_max)
 
     cfg = trainer.TrainConfig(arch=arch, **_library_kwargs(trainer.TrainConfig, resolved))
     # Before training, so an unusable --out fails fast; removed again if
@@ -212,16 +182,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     arch, params = load_model(args.model)
     samples = read_dataset(args.data)
+    data = samples[0].scenario
+    _require_match(args.data, data, args.model, arch)
     rates = trainer.sample_rates(arch, params, samples)
     mean_rate = float(np.mean(rates))
 
     ref_mean = None
     if args.reference:
         ref_arch, ref_params = load_model(args.reference)
-        if ref_arch.n_tx_antennas != arch.n_tx_antennas:
-            raise ValueError(
-                f"reference expects Nt={ref_arch.n_tx_antennas}, model has {arch.n_tx_antennas}"
-            )
+        _require_match(args.data, data, args.reference, ref_arch)
         ref_mean = trainer.evaluate(ref_arch, ref_params, samples)
         if ref_mean <= 0.0:
             raise ValueError(f"reference model has non-positive mean sum rate {ref_mean}")
@@ -243,8 +212,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _model_stem(path) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
+def _model_csv_name(mode: str, path) -> str:
+    """'<mode>_<parent dir>_<stem>.csv': every train run writes model.bin,
+    so two runs' models analysed into one --out keep separate files."""
+    parent = os.path.basename(os.path.dirname(os.path.abspath(path)))
+    stem = os.path.splitext(os.path.basename(path))[0]
+    return f"{mode.replace('-', '_')}_{parent}_{stem}.csv"
 
 
 def cmd_analyze(args) -> int:
@@ -262,14 +235,12 @@ def cmd_analyze(args) -> int:
     if not args.model:
         raise UsageError(f"--model is required for mode {args.mode}")
     _, params = load_model(args.model)
-    stem = _model_stem(args.model)
+    path = os.path.join(args.out, _model_csv_name(args.mode, args.model))
     if args.mode == "weights-hist":
-        path = os.path.join(args.out, f"weights_hist_{stem}.csv")
         report = compression.weight_histogram(params, args.bins)
         os.makedirs(args.out, exist_ok=True)
         compression.write_weight_histogram(report, path)
     else:  # svals
-        path = os.path.join(args.out, f"svals_{stem}.csv")
         os.makedirs(args.out, exist_ok=True)
         compression.write_singular_values(params, path)
     print(f"wrote {path}")
@@ -294,12 +265,13 @@ def cmd_inspect(args) -> int:
 
 
 def _add_settings(parser, library, table) -> None:
-    """One flag per setting; unset flags stay None so _resolve can layer."""
+    """One flag per setting, defaulting to the setting's default."""
     defaults = _defaults(library, table)
     for s in table:
         flag = "--" + s.key.replace("_", "-")
         text = s.help and s.help.format(default=defaults[s.key])
-        parser.add_argument(flag, type=s.type, choices=s.choices, help=text)
+        parser.add_argument(flag, type=s.type, choices=s.choices, default=defaults[s.key],
+                            help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,14 +283,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate train/test interference-network datasets")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--config", help="key=value config file")
     _add_settings(g, *_GEN_DATA)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train a model on a generated dataset")
     t.add_argument("--data", required=True, help="dataset directory (train.bin/test.bin)")
     t.add_argument("--out", required=True, help="output directory")
-    t.add_argument("--config", help="key=value config file")
     _add_settings(t, *_TRAIN)
     t.set_defaults(func=cmd_train)
 

@@ -1,4 +1,4 @@
-"""Command-line interface: plumbing, config layering, exit codes, outputs."""
+"""Command-line interface: plumbing, settings, exit codes, outputs."""
 
 import csv
 import dataclasses
@@ -175,29 +175,31 @@ class TestTrain:
         arch, _ = load_model(tmp_path / "model.bin")
         assert arch.kind == "low_rank" and (arch.rank1, arch.rank2) == (4, 4)
 
-    def test_power_budget_is_stored_in_the_model(self, data_dir, tmp_path):
-        rc = main([
-            "train", "--data", str(data_dir), "--out", str(tmp_path),
-            "--ranks", "4,4", "--epochs", "1", "--batch-size", "6", "--p-max", "4",
-        ])
-        assert rc == 0
-        arch, _ = load_model(tmp_path / "model.bin")
-        assert arch.p_max == 4.0
+    def test_power_budget_is_stored_in_the_model(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert main(["gen-data", "--out", str(data), "--pairs", "2", "--antennas", "2",
+                     "--train", "4", "--test", "2", "--p-max", "4"]) == 0
+        assert main(["train", "--data", str(data), "--out", str(out), "--ranks", "4,4",
+                     "--epochs", "1", "--batch-size", "4"]) == 0
+        assert load_model(out / "model.bin")[0].p_max == 4.0
+        # So eval takes the model's own data.
+        assert main(["eval", "--model", str(out / "model.bin"), "--data", str(data / "test.bin"),
+                     "--out", str(tmp_path / "eval")]) == 0
 
     def test_power_budget_defaults_to_the_datasets(self, tmp_path):
-        data = tmp_path / "data"
+        data, out = tmp_path / "data", tmp_path / "run"
         assert main(["gen-data", "--out", str(data), "--pairs", "2", "--antennas", "2",
                      "--train", "4", "--test", "2", "--p-max", "4"]) == 0
         samples = read_dataset(data / "train.bin")
         assert [s.scenario.p_max for s in samples] == [4.0] * 4
         mrt = baseline_beamformers(samples[0].scenario, "mrt")
         np.testing.assert_allclose(np.sum(np.abs(mrt) ** 2, axis=1), 4.0, rtol=1e-12)
-        for extra, want in (([], 4.0), (["--p-max", "2"], 2.0)):
-            out = tmp_path / f"run{want}"
-            assert main(["train", "--data", str(data), "--out", str(out),
-                         "--epochs", "1", "--batch-size", "4"] + extra) == 0
-            assert load_model(out / "model.bin")[0].p_max == want
-            assert json.loads((out / "train_config.json").read_text())["p_max"] == want
+        assert main(["train", "--data", str(data), "--out", str(out),
+                     "--epochs", "1", "--batch-size", "4"]) == 0
+        assert load_model(out / "model.bin")[0].p_max == 4.0
+        # The budget is the dataset's, not a train setting, so the echo
+        # does not record it.
+        assert "p_max" not in json.loads((out / "train_config.json").read_text())
 
     def test_summary_prints_the_saved_checkpoints_rate(self, tmp_path, capsys):
         # The saved epoch (1) is neither the untrained model nor the last epoch (6).
@@ -348,6 +350,30 @@ class TestEval:
         assert rc == 1
         assert "Nt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["model", "reference"])
+    def test_power_budget_must_match_the_data(self, model_dir, tmp_path, capsys, target):
+        # The same geometry at p_max=4, scored by the p_max=1 model (as
+        # --model or as --reference).
+        gen = tmp_path / "p4"
+        assert main(["gen-data", "--out", str(gen), "--pairs", "2", "--antennas", "2",
+                     "--train", "6", "--test", "3", "--seed", "1", "--p-max", "4"]) == 0
+        matched = tmp_path / "m4"
+        assert main(["train", "--data", str(gen), "--out", str(matched),
+                     "--epochs", "1", "--batch-size", "6"]) == 0
+        mismatched = model_dir / "model.bin"
+        model, reference = mismatched, matched / "model.bin"
+        if target == "reference":
+            model, reference = reference, model
+        capsys.readouterr()
+        out = tmp_path / "o"
+        rc = main(["eval", "--model", str(model), "--data", str(gen / "test.bin"),
+                   "--reference", str(reference), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == (f"error: {gen / 'test.bin'} has p_max=4.0 "
+                       f"but {mismatched} has p_max=1.0\n")
+        assert not out.exists()
+
     def test_bad_dataset_edge_is_one_line_error(self, model_dir, tmp_path, capsys):
         # A 3-pair test set whose last sample has an edge targeting pair 7.
         gen = tmp_path / "d3"
@@ -440,10 +466,29 @@ class TestAnalyze:
         model = str(model_dir / "model.bin")
         assert main(["analyze", "--mode", "weights-hist", "--model", model,
                      "--bins", "8", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "weights_hist_model.csv").exists()
+        assert (tmp_path / f"weights_hist_{model_dir.name}_model.csv").exists()
         assert main(["analyze", "--mode", "svals", "--model", model,
                      "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "svals_model.csv").exists()
+        assert (tmp_path / f"svals_{model_dir.name}_model.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["weights-hist", "svals"])
+    def test_models_of_two_runs_keep_separate_csvs(self, data_dir, model_dir, tmp_path, mode):
+        # Every train run writes model.bin; runs/a and runs/b hold two
+        # different models.
+        runs = tmp_path / "runs"
+        (runs / "a").mkdir(parents=True)
+        (runs / "a" / "model.bin").write_bytes((model_dir / "model.bin").read_bytes())
+        assert main(["train", "--data", str(data_dir), "--out", str(runs / "b"), "--ranks", "4,4",
+                     "--epochs", "1", "--batch-size", "6"]) == 0
+        out = tmp_path / "analysis"
+        for run in ("a", "b"):
+            assert main(["analyze", "--mode", mode, "--model", str(runs / run / "model.bin"),
+                         "--out", str(out)]) == 0
+        prefix = mode.replace("-", "_")
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"{prefix}_a_model.csv", f"{prefix}_b_model.csv"]
+        assert (out / f"{prefix}_a_model.csv").read_bytes() != (
+            out / f"{prefix}_b_model.csv").read_bytes()
 
     def test_more_bins_than_weights_is_one_line_error(self, model_dir, tmp_path):
         # Under a 2 GiB address-space cap: the edges of 10^9 bins alone
@@ -463,7 +508,7 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
         assert "pooled weight count" in proc.stderr
-        assert not (tmp_path / "weights_hist_model.csv").exists()
+        assert not (tmp_path / f"weights_hist_{model_dir.name}_model.csv").exists()
 
     def test_model_modes_require_model(self, tmp_path, capsys):
         rc = main(["analyze", "--mode", "svals", "--out", str(tmp_path)])
@@ -561,44 +606,12 @@ class TestFailureLeavesNoOutDir:
 
 
 class TestConfigFile:
-    def test_layering_flag_beats_config(self, tmp_path):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text(
-            "pairs = 2\nantennas = 2\ntrain = 4  # comment\ntest = 2\n\n# full-line comment\n"
-        )
-        out = tmp_path / "out"
-        rc = main(["gen-data", "--config", str(cfg), "--out", str(out), "--train", "5"])
-        assert rc == 0
-        assert len(read_dataset(out / "train.bin")) == 5  # flag wins
-        assert len(read_dataset(out / "test.bin")) == 2  # config wins over default
-        echo = json.loads((out / "gen_config.json").read_text())
-        assert echo["train"] == 5 and echo["test"] == 2
+    """--config files are gone: every setting is set by its flag alone."""
 
-    def test_unknown_key_reports_location(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("pairs = 2\nbogus = 7\n")
-        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "usage error:" in err and ":2:" in err and "bogus" in err
-
-    def test_malformed_line(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("pairs 2\n")
-        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "key=value" in capsys.readouterr().err
-
-    def test_bad_value_type(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("pairs = many\n")
-        rc = main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert rc == 2
-        assert "expected int" in capsys.readouterr().err
-
-    # Removed train settings, each with a value it used to take (None
-    # for a switch).
-    REMOVED = {"deterministic": None, "full_interference": None, "select_on": "test", "eval_every": "1"}
+    # Removed train flags, each with a value it used to take (None for a
+    # switch). The power budget is the dataset's, set by gen-data --p-max.
+    REMOVED = {"deterministic": None, "full_interference": None, "select_on": "test",
+               "eval_every": "1", "config": "train.cfg", "p_max": "4"}
 
     @pytest.mark.parametrize("key", list(REMOVED))
     def test_removed_setting_is_rejected(self, data_dir, tmp_path, capsys, key):
@@ -608,12 +621,15 @@ class TestConfigFile:
             main(["train", "--data", str(data_dir), "--out", str(out), "--" + key.replace("_", "-")]
                  + ([value] if value else []))
         assert e.value.code == 2
-        cfg = tmp_path / "train.cfg"
-        cfg.write_text(f"{key} = {value or 'yes'}\n")
-        capsys.readouterr()
-        rc = main(["train", "--data", str(data_dir), "--out", str(out), "--config", str(cfg)])
-        assert rc == 2
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert "unrecognized arguments: --" + key.replace("_", "-") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_data_config_file_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["gen-data", "--out", str(out), "--config", "gen.cfg"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not out.exists()
 
 

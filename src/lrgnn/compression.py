@@ -1,8 +1,8 @@
 """Model-size analytics.
 
 Closed-form parameter-reduction fractions, dense/low-rank size-ratio
-grids, weight histograms, singular-value spectra, and post-hoc SVD
-factorization of trained dense layers.
+grids, weight histograms, singular-value spectra (a factorized layer's
+from its factors), and post-hoc SVD factorization of dense layers.
 
 Counting convention: size ratios and reduction fractions use bias-free
 counts (weight matrices and factors only); that is the convention the
@@ -175,30 +175,37 @@ def weight_histogram(params: MpgnnParams, n_bins: int = 50) -> HistogramReport:
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """Singular values, descending."""
+    """Singular values, descending, from an SVD of the tall one of the matrix and its transpose
+    (LAPACK's QR-first route for a tall matrix costs less than its LQ route for a wide one)."""
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"need a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return np.linalg.svd(m, compute_uv=False)
+    return np.linalg.svd(m if m.shape[0] >= m.shape[1] else m.T, compute_uv=False)
+
+
+def _spectrum(values: np.ndarray, n: int) -> np.ndarray:
+    """Magnitudes, descending, cut or zero-padded to n entries."""
+    return np.pad(np.sort(np.abs(values))[::-1][:n], (0, max(0, n - values.size)))
 
 
 def layer_spectra(params: MpgnnParams) -> list[tuple[str, np.ndarray, np.ndarray | None]]:
-    """(name, singular values, eigenvalue magnitudes or None) per layer.
-
-    Factorized layers are measured through their effective weight;
-    eigenvalue magnitudes (descending) are reported for square matrices
-    only.
-    """
+    """(name, singular values, eigenvalue magnitudes or None) per layer:
+    min(d_in, d_out) values each, descending; eigenvalues of square layers
+    only. Factorized layers are measured from their factors: U @ V has the
+    singular values of the core qr(U, "r") @ qr(V.T, "r").T (at most rank x
+    rank) and the nonzero eigenvalues of V @ U; past the rank, values are 0.0."""
     out = []
     for mlp_name, mlp in (("mlp1", params.mlp1), ("mlp2", params.mlp2)):
         for i, layer in enumerate(mlp.layers):
-            w = layer.effective_weight()
-            eig = None
-            if w.shape[0] == w.shape[1]:
-                eig = np.sort(np.abs(np.linalg.eigvals(w)))[::-1]
-            out.append((f"{mlp_name}.{i}", singular_values(w), eig))
+            if layer.rank is None:
+                w = square = layer.weight
+            else:
+                w = np.linalg.qr(layer.u, mode="r") @ np.linalg.qr(layer.v.T, mode="r").T
+                square = layer.v @ layer.u if layer.d_in == layer.d_out else None
+            eig = _spectrum(np.linalg.eigvals(square), layer.d_in) if layer.d_in == layer.d_out else None
+            out.append((f"{mlp_name}.{i}", _spectrum(singular_values(w), min(layer.d_in, layer.d_out)), eig))
     return out
 
 
@@ -251,5 +258,4 @@ def write_singular_values(params: MpgnnParams, path) -> None:
         w.writerow(["layer", "index", "singular_value", "eigenvalue_magnitude"])
         for name, svals, eig in layer_spectra(params):
             for i, s in enumerate(svals):
-                e = repr(float(eig[i])) if eig is not None and i < eig.size else ""
-                w.writerow([name, i, repr(float(s)), e])
+                w.writerow([name, i, repr(float(s)), "" if eig is None else repr(float(eig[i]))])

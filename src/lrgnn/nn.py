@@ -67,9 +67,6 @@ class DenseLinear:
     def d_out(self) -> int:
         return value(self.weight).shape[0]
 
-    def effective_weight(self) -> np.ndarray:
-        return value(self.weight)
-
     def params(self) -> list:
         return [self.weight, self.bias]
 
@@ -120,9 +117,6 @@ class LowRankLinear:
     @property
     def rank(self) -> int:
         return value(self.u).shape[1]
-
-    def effective_weight(self) -> np.ndarray:
-        return (value(self.u) @ value(self.v)).T
 
     def params(self) -> list:
         return [self.u, self.v, self.bias]

@@ -177,6 +177,8 @@ class TestSpectra:
         assert s.shape == (6,)
         assert np.all(np.diff(s) <= 0)
         assert np.sum(s**2) == pytest.approx(np.sum(w**2), rel=1e-9)
+        # The SVD runs on the tall orientation; only rounding may differ.
+        np.testing.assert_allclose(s, singular_values(w.T), rtol=1e-13, atol=0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -200,6 +202,56 @@ class TestSpectra:
         spectra = dict((n, s) for n, s, _ in layer_spectra(init_params(arch, 5)))
         for s in spectra.values():
             assert np.sum(s > 1e-12) <= 2
+
+    # (64, 72): rank1 equals mlp1's width 64, and rank2 = 72 exceeds
+    # mlp2.1's output width 2*Nt, so that layer is overcomplete.
+    @pytest.mark.parametrize("nt", [2, 8])
+    @pytest.mark.parametrize("ranks", [(2, 2), (16, 4), (64, 72)], ids=["2,2", "16,4", "64,72"])
+    def test_factorized_spectra_match_the_materialized_weight(self, nt, ranks):
+        arch = MpgnnArch(n_tx_antennas=nt, kind="low_rank", rank1=ranks[0], rank2=ranks[1])
+        params = init_params(arch, 9)
+        layers = params.mlp1.layers + params.mlp2.layers
+        for layer, (name, s, eig) in zip(layers, layer_spectra(params)):
+            w = (layer.u @ layer.v).T
+            ref = np.linalg.svd(w, compute_uv=False)
+            n = min(layer.d_in, layer.d_out)
+            assert s.shape == (n,), name
+            np.testing.assert_allclose(s, ref, rtol=0, atol=1e-12 * ref[0], err_msg=name)
+            assert np.all(s[layer.rank:] == 0.0), name
+            if name == "mlp1.1":
+                ref_eig = np.sort(np.abs(np.linalg.eigvals(w)))[::-1]
+                assert eig.shape == (n,)
+                np.testing.assert_allclose(eig, ref_eig, rtol=0, atol=1e-12 * ref[0])
+                assert np.all(eig[layer.rank:] == 0.0)
+            else:
+                assert eig is None, name
+
+    def test_spectra_decompose_only_the_small_side(self, monkeypatch):
+        # No array larger than its layer's rank x rank reaches an SVD or
+        # an eigensolver, and a dense layer's SVD sees the tall orientation.
+        params = init_params(MpgnnArch(n_tx_antennas=8, kind="low_rank", rank1=16, rank2=4), 10)
+        shapes = {"svd": [], "eigvals": []}
+
+        def spy(fn):
+            real = getattr(np.linalg, fn)
+
+            def call(a, *args, **kwargs):
+                shapes[fn].append(np.shape(a))
+                return real(a, *args, **kwargs)
+
+            return call
+
+        for fn in shapes:
+            monkeypatch.setattr(np.linalg, fn, spy(fn))
+        layer_spectra(params)
+        ranks = [layer.rank for layer in params.mlp1.layers + params.mlp2.layers]
+        assert len(shapes["svd"]) == len(ranks)
+        for shape, r in zip(shapes["svd"], ranks):
+            assert max(shape) <= r, (shape, r)
+        assert shapes["eigvals"] == [(16, 16)]
+        shapes["svd"].clear()
+        layer_spectra(init_params(MpgnnArch(n_tx_antennas=8), 10))
+        assert shapes["svd"] == [(64, 48), (64, 64), (512, 96), (512, 16)]
 
 
 class TestSvdTruncate:

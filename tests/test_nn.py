@@ -51,7 +51,7 @@ class TestLowRankLinear:
         rng = np.random.default_rng(1)
         for _ in range(5):
             layer = LowRankLinear(*init_layer(rng, d_in=7, d_out=4, rank=2))
-            dense = DenseLinear(layer.effective_weight(), layer.bias)
+            dense = DenseLinear((layer.u @ layer.v).T, layer.bias)
             x = rng.normal(size=(3, 7))
             np.testing.assert_allclose(layer(x), dense(x), rtol=1e-6, atol=1e-12)
 

@@ -6,20 +6,20 @@ back to its inputs. Graphs are built implicitly by doing arithmetic on
 topological order. Tensors that do not require gradients short-circuit
 the bookkeeping, so the same code path doubles as a plain-numpy forward.
 
-Operators are ``Tensor`` methods. Every other op (``relu``, ``sigmoid``,
-``tsum``, ``gather_rows``, ...) is a module function that accepts either
-a ``Tensor`` or an ``ndarray``, runs the identical numpy kernel on both,
-and records its backward closure only for a ``Tensor``, so taped and
-untaped evaluations are bit-identical.
+Operators are ``Tensor`` methods. Every other op (``linear``,
+``sigmoid``, ``tsum``, ``gather_rows``, ...) is a module function that
+accepts either a ``Tensor`` or an ``ndarray``, runs the identical numpy
+kernel on both, and records its backward closure only for a ``Tensor``,
+so taped and untaped evaluations are bit-identical.
+
+A gradient array that a backward allocated (a product, a mask, a
+scatter) becomes its parent's gradient as it is; one passed on as a
+view (by ``+``, ``tsum``, ``.T``, ``row_slice``) is copied first.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -33,13 +33,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    # np.minimum(np.maximum(.)) is np.clip without its Python wrapper,
-    # which costs more than the arithmetic on the small arrays of a
-    # message-passing round.
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(x, -500.0), 500.0)))
 
 
 def _consumed(g) -> None:
@@ -73,7 +66,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -97,9 +90,9 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        if self.grad is None:  # adopt g if the calling backward allocated it
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -136,7 +129,7 @@ class Tensor:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
 
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), fresh=True)
         while order:
             node = order.pop()
             if node._backward is not None:
@@ -159,8 +152,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self, other), bw)
 
-    __radd__ = __add__
-
     def __neg__(self):
         # Multiplying by -1.0 is exact, so this is negation bit for bit.
         return self * -1.0
@@ -174,9 +165,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape), fresh=True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape), fresh=True)
 
         return Tensor._make(out_data, (self, other), bw)
 
@@ -188,10 +179,10 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.data.shape))
+                self._accumulate(_unbroadcast(g / other.data, self.data.shape), fresh=True)
             if other.requires_grad:
                 other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
+                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape), fresh=True
                 )
 
         return Tensor._make(out_data, (self, other), bw)
@@ -207,9 +198,9 @@ class Tensor:
 
         def bw(g):
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, fresh=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, fresh=True)
 
         return Tensor._make(out_data, (self, other), bw)
 
@@ -230,23 +221,45 @@ class Tensor:
 # ---------------------------------------------------------------------------
 
 
-def relu(x):
-    if not isinstance(x, Tensor):
-        return np.maximum(x, 0.0)
+def linear(x, w, b, relu: bool = False):
+    """relu?(x @ w + b), or relu?(x + b) when w is None, as one node that
+    holds only its output; the ReLU's mask is read back from it (out > 0
+    exactly where the pre-activation is)."""
+    taped = isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)
+    xd, wd, bd = (value(x), w if w is None else value(w), value(b)) if taped else (x, w, b)
+    out = xd + bd if wd is None else xd @ wd
+    if wd is not None:
+        out += bd
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if not taped:
+        return out
+    if wd is not None and (xd.ndim != 2 or wd.ndim != 2):
+        raise ValueError("matmul supports 2-D operands only")
 
     def bw(g):
-        x._accumulate(g * (x.data > 0.0))
+        if relu:
+            g = g * (out > 0.0)
+        if isinstance(b, Tensor) and b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape), fresh=g.shape != b.data.shape)
+        if isinstance(x, Tensor) and x.requires_grad:
+            x._accumulate(g if wd is None else g @ wd.T, fresh=relu or wd is not None)
+        if isinstance(w, Tensor) and w.requires_grad:
+            w._accumulate(xd.T @ g, fresh=True)
 
-    return Tensor._make(np.maximum(x.data, 0.0), (x,), bw)
+    return Tensor._make(out, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), bw)
 
 
 def sigmoid(x):
+    # np.minimum(np.maximum(.)) is np.clip without its Python wrapper,
+    # which costs more than the arithmetic on the small arrays of a
+    # message-passing round.
+    s = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(value(x), -500.0), 500.0)))
     if not isinstance(x, Tensor):
-        return _sigmoid_raw(x)
-    s = _sigmoid_raw(x.data)
+        return s
 
     def bw(g):
-        x._accumulate(g * s * (1.0 - s))
+        x._accumulate(g * s * (1.0 - s), fresh=True)
 
     return Tensor._make(s, (x,), bw)
 
@@ -256,7 +269,7 @@ def log1p(x):
         return np.log1p(x)
 
     def bw(g):
-        x._accumulate(g / (1.0 + x.data))
+        x._accumulate(g / (1.0 + x.data), fresh=True)
 
     return Tensor._make(np.log1p(x.data), (x,), bw)
 
@@ -267,7 +280,7 @@ def sqrt(x):
     root = np.sqrt(x.data)
 
     def bw(g):
-        x._accumulate(g * (0.5 / root))
+        x._accumulate(g * (0.5 / root), fresh=True)
 
     return Tensor._make(root, (x,), bw)
 
@@ -277,7 +290,7 @@ def square(x):
         return x * x
 
     def bw(g):
-        x._accumulate(g * (2.0 * x.data))
+        x._accumulate(g * (2.0 * x.data), fresh=True)
 
     return Tensor._make(x.data * x.data, (x,), bw)
 
@@ -295,13 +308,25 @@ def tsum(x, axis=None, keepdims: bool = False):
     return Tensor._make(np.add.reduce(x.data, axis=axis, keepdims=keepdims), (x,), bw)
 
 
+def row_dot(h: np.ndarray, x):
+    """Per-row dot products of a constant array h with x; the node holds
+    no (rows, width) product."""
+    if not isinstance(x, Tensor):
+        return np.add.reduce(h * x, axis=1)
+
+    def bw(g):
+        x._accumulate(g[:, None] * h, fresh=True)
+
+    return Tensor._make(np.add.reduce(h * x.data, axis=1), (x,), bw)
+
+
 def maximum(x, floor: float):
     """Elementwise max of `x` and a constant; ties route the gradient to x."""
     if not isinstance(x, Tensor):
         return np.maximum(x, floor)
 
     def bw(g):
-        x._accumulate(g * (x.data >= floor))
+        x._accumulate(g * (x.data >= floor), fresh=True)
 
     return Tensor._make(np.maximum(x.data, floor), (x,), bw)
 
@@ -332,7 +357,7 @@ def gather_rows(x, idx: np.ndarray):
         if idx.size:
             order, starts, rows = group_keys(idx)
             gx[rows] = np.add.reduceat(g[order], starts, axis=0)
-        x._accumulate(gx)
+        x._accumulate(gx, fresh=True)
 
     return Tensor._make(out_data, (x,), bw)
 
@@ -344,7 +369,8 @@ def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None
     gradient is routed to exactly one contributor per coordinate: the
     first maximal message in list order, so callers control tie-breaking
     by how they order the message rows. groups, if given, must be
-    group_keys(targets).
+    group_keys(targets). On the tape the winners are found in the forward
+    pass, and the node holds them rather than the sorted messages.
     """
     targets = np.asarray(targets, dtype=np.intp)
     is_tensor = isinstance(messages, Tensor)
@@ -354,12 +380,7 @@ def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None
         order, starts, rows = group_keys(targets) if groups is None else groups
         sorted_msg = msg_data[order]
         out_data[rows] = np.maximum.reduceat(sorted_msg, starts, axis=0)
-    if not is_tensor:
-        return out_data
-
-    def bw(g):
-        gm = np.zeros_like(msg_data)
-        if targets.size:
+        if is_tensor:
             # Per run and coordinate, the first sorted row that holds the
             # maximum wins: the first maximal message in list order. A NaN
             # counts as maximal, as in argmax.
@@ -368,8 +389,14 @@ def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None
                 hit |= np.isnan(sorted_msg)
             pos = np.where(hit, np.arange(order.size)[:, None], order.size)
             winners = order[np.minimum.reduceat(pos, starts, axis=0)]
+    if not is_tensor:
+        return out_data
+
+    def bw(g):
+        gm = np.zeros_like(msg_data)
+        if targets.size:
             gm[winners, np.arange(msg_data.shape[1])] = g[rows]
-        messages._accumulate(gm)
+        messages._accumulate(gm, fresh=True)
 
     return Tensor._make(out_data, (messages,), bw)
 
@@ -385,7 +412,7 @@ def scatter_sum(values, targets: np.ndarray, n_rows: int):
         return out_data
 
     def bw(g):
-        values._accumulate(g[targets])
+        values._accumulate(g[targets], fresh=True)
 
     return Tensor._make(out_data, (values,), bw)
 

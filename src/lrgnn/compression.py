@@ -253,9 +253,10 @@ def write_weight_histogram(report: HistogramReport, path) -> None:
 
 
 def write_singular_values(params: MpgnnParams, path) -> None:
+    # Every row before the file opens: a spectra error leaves no file.
+    rows = [[name, i, repr(float(s)), "" if eig is None else repr(float(eig[i]))]
+            for name, svals, eig in layer_spectra(params) for i, s in enumerate(svals)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["layer", "index", "singular_value", "eigenvalue_magnitude"])
-        for name, svals, eig in layer_spectra(params):
-            for i, s in enumerate(svals):
-                w.writerow([name, i, repr(float(s)), "" if eig is None else repr(float(eig[i]))])
+        w.writerows(rows)

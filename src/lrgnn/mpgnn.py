@@ -9,7 +9,8 @@ with a sigmoid into the new hidden part. One MLP pair is shared across
 all rounds. Both first layers are linear in their concatenated inputs,
 so they run split at the input blocks: the fixed and edge terms are
 computed once per forward pass (round_terms), and a round projects
-only hidden, on vertex rows, before gathering it to the edges. The
+only hidden, on vertex rows, before gathering it to the edges. Round
+1's hidden state is all zero, so that round skips its projections. The
 readout maps hidden from (0,1) to (-1,1), reads the halves as Re/Im of
 a complex vector, and radially projects onto the power ball, so every
 output satisfies ||q_n||^2 <= p_max.
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import gather_rows, group_keys, maximum, relu, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
+from .autodiff import gather_rows, group_keys, maximum, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
 from .binio import FormatError, open_reader
 from .nn import DenseLinear, LowRankLinear, Mlp, init_layer, layer_shapes
 from .scenario import Graph, merge_complex
@@ -224,13 +225,17 @@ def layer_step(hidden, graph: Graph, params: MpgnnParams, terms: RoundTerms):
     hidden_n := sigmoid(MLP2([x_n ; aggregate])), x being [fixed ;
     hidden]. terms (round_terms of the pass) holds the fixed and edge
     terms, so a round projects only hidden, on vertex rows, and gathers
-    that projection (64 or rank1 wide) to the edges."""
-    z = terms.upd_const + hidden @ terms.upd_hidden
+    that projection (64 or rank1 wide) to the edges. hidden None stands
+    for round 1's all-zero state, whose projections add nothing."""
+    z, msg_first = terms.upd_const, terms.msg_const
+    if hidden is not None:
+        z = z + hidden @ terms.upd_hidden
+        if terms.groups is not None:
+            msg_first = msg_first + gather_rows(hidden @ terms.msg_hidden, graph.edges[:, 0])
     if terms.groups is not None:
-        msg_first = terms.msg_const + gather_rows(hidden @ terms.msg_hidden, graph.edges[:, 0])
-        msgs = terms.tail1(relu(params.mlp1.layers[0].finish(msg_first)))
+        msgs = terms.tail1(params.mlp1.layers[0].finish(msg_first, relu=True))
         z = z + scatter_max(msgs, graph.edges[:, 1], graph.n_vertices, terms.groups) @ terms.upd_agg
-    return sigmoid(terms.tail2(relu(params.mlp2.layers[0].finish(z))))
+    return sigmoid(terms.tail2(params.mlp2.layers[0].finish(z, relu=True)))
 
 
 def forward_real(graph: Graph, params: MpgnnParams, arch: MpgnnArch):
@@ -242,7 +247,7 @@ def forward_real(graph: Graph, params: MpgnnParams, arch: MpgnnArch):
     if graph.n_tx_antennas != nt:
         raise ValueError(f"graph carries Nt={graph.n_tx_antennas}, model expects {nt}")
     fixed = graph.vertex_features[:, : 2 * nt]
-    hidden = np.zeros((graph.n_vertices, 2 * nt))
+    hidden = None
     terms = round_terms(fixed, graph, params)
     for _ in range(arch.n_rounds):
         hidden = layer_step(hidden, graph, params, terms)

@@ -5,7 +5,10 @@ unchanged whether those arrays are plain ndarrays (fast inference path)
 or autodiff Tensors (training path); the arithmetic is identical either
 way, so both paths produce bit-equal outputs. Every layer carries a
 bias and computes finish(x @ first), `first` being W.T or U: a caller
-may split it by input rows and sum the blocks' products. layer_shapes
+may split it by input rows and sum the blocks' products. finish(z,
+relu) is one autodiff linear node (z @ V for a factorized layer, plus
+the bias, then the ReLU if asked); a dense layer(x, relu) fuses x @ W.T
+into its node too. layer_shapes
 names a layer's arrays and their shapes in params() order; init,
 parameter counts and model files all read it. A new layer is built
 around the arrays init_layer draws: DenseLinear(*init_layer(rng, d_in,
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import relu, value
+from .autodiff import linear, value
 
 _OUTPUT_ACTIVATIONS = (None, "relu")
 
@@ -74,11 +77,11 @@ class DenseLinear:
     def first(self):
         return self.weight.T
 
-    def finish(self, z):
-        return z + self.bias
+    def finish(self, z, relu: bool = False):
+        return linear(z, None, self.bias, relu)
 
-    def __call__(self, x):
-        return self.finish(x @ self.first)
+    def __call__(self, x, relu: bool = False):
+        return linear(x, self.weight.T, self.bias, relu)
 
 
 class LowRankLinear:
@@ -125,11 +128,11 @@ class LowRankLinear:
     def first(self):
         return self.u
 
-    def finish(self, z):
-        return z @ self.v + self.bias
+    def finish(self, z, relu: bool = False):
+        return linear(z, self.v, self.bias, relu)
 
-    def __call__(self, x):
-        return self.finish(x @ self.first)
+    def __call__(self, x, relu: bool = False):
+        return linear(x @ self.u, self.v, self.bias, relu)
 
 
 class Mlp:
@@ -157,11 +160,8 @@ class Mlp:
 
     def __call__(self, x):
         for layer in self.layers[:-1]:
-            x = relu(layer(x))
-        x = self.layers[-1](x)
-        if self.output_activation == "relu":
-            return relu(x)
-        return x
+            x = layer(x, relu=True)
+        return self.layers[-1](x, relu=self.output_activation == "relu")
 
 
 BETA1 = 0.9
@@ -198,8 +198,14 @@ class Adam:
                 raise ValueError(f"grad shape {g.shape} does not match param shape {p.shape}")
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError("non-finite gradient in Adam step")
+            # In place, op for op as m = BETA1*m + (1-BETA1)*g, v = BETA2*v + (1-BETA2)*g**2
+            # and p -= lr * (m / b1t) / (sqrt(v / b2t) + EPS).
+            buf = np.multiply(g, 1.0 - BETA1)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += buf
             v *= BETA2
-            v += (1.0 - BETA2) * np.square(g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            v += np.multiply(np.square(g, out=buf), 1.0 - BETA2, out=buf)
+            np.add(np.sqrt(np.divide(v, b2t, out=buf), out=buf), EPS, out=buf)
+            step = np.divide(m, b1t)
+            step *= self.lr
+            p -= np.divide(step, buf, out=step)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import gather_rows, log1p, scatter_sum, square, tsum
+from .autodiff import gather_rows, log1p, row_dot, scatter_sum, square, tsum
 from .scenario import Graph, Scenario, graph_from_edges, split_complex
 
 LN2 = float(np.log(2.0))
@@ -46,7 +46,7 @@ def _rot_half(x: np.ndarray) -> np.ndarray:
 
 def _power(h: np.ndarray, q_real):
     # |h^H q|^2 per row, from the real and imaginary parts of the inner product.
-    return square(tsum(h * q_real, axis=1)) + square(tsum(_rot_half(h) * q_real, axis=1))
+    return square(row_dot(h, q_real)) + square(row_dot(_rot_half(h), q_real))
 
 
 def _sinr(graph: Graph, q_real):

@@ -6,9 +6,10 @@ import pytest
 from lrgnn.autodiff import (
     Tensor,
     gather_rows,
+    linear,
     log1p,
     maximum,
-    relu,
+    row_dot,
     row_slice,
     scatter_max,
     scatter_sum,
@@ -73,10 +74,17 @@ class TestElementwiseGradients:
         self.rng = np.random.default_rng(11)
 
     def test_relu(self):
-        # Keep points away from the kink.
+        # The ReLU of a linear node; keep points away from the kink.
         x = self.rng.normal(size=(3, 4))
         x += 0.2 * np.sign(x)
-        check_grad(lambda t: tsum(relu(t)), x)
+        check_grad(lambda t: tsum(linear(t, None, np.zeros(4), relu=True)), x)
+
+    def test_linear(self):
+        w, b = self.rng.normal(size=(4, 3)), self.rng.normal(size=3)
+        x = self.rng.normal(size=(5, 4))
+        check_grad(lambda t: tsum(square(linear(t, w, b))), x)
+        check_grad(lambda t: tsum(square(linear(x, t, b))), w.copy())
+        check_grad(lambda t: tsum(square(linear(x, w, t))), b.copy())
 
     def test_sigmoid(self):
         check_grad(lambda t: tsum(sigmoid(t)), self.rng.normal(size=(2, 5)))
@@ -95,7 +103,7 @@ class TestElementwiseGradients:
         check_grad(lambda t: tsum(square(t + b)), self.rng.normal(size=(3, 4)))
         # Gradient w.r.t. the broadcast operand sums over the long axis.
         x = self.rng.normal(size=(3, 4))
-        check_grad(lambda t: tsum(square(x + t)), b.copy())
+        check_grad(lambda t: tsum(square(t + x)), b.copy())
 
     def test_mul_broadcast(self):
         col = self.rng.normal(size=(3, 1))
@@ -303,7 +311,7 @@ class TestDispatchParity:
         idx = np.array([0, 2, 2, 1])
 
         def run(a, b):
-            h = relu(a @ b)
+            h = linear(a, b, np.linspace(-1.0, 1.0, 5), relu=True)
             h = sigmoid(gather_rows(h, idx))
             h = scatter_max(h, np.array([2, 0, 2, 4]), 5)
             n = sqrt(tsum(square(h), axis=1, keepdims=True))
@@ -318,3 +326,82 @@ class TestDispatchParity:
         assert value(x) is not None
         np.testing.assert_array_equal(value(Tensor(x)), x)
         np.testing.assert_array_equal(value([1.0, 2.0]), [1.0, 2.0])
+
+
+def relu_node(x):
+    """The ReLU as a node of its own, with its mask read from its input:
+    the tape before linear fused it."""
+    return Tensor._make(np.maximum(x.data, 0.0), (x,), lambda g: x._accumulate(g * (x.data > 0.0)))
+
+
+class TestFusedNodes:
+    """linear and row_dot against the chains of single ops they replace:
+    bit-equal values and gradients."""
+
+    @staticmethod
+    def leaves(*arrays):
+        return [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+    @pytest.mark.parametrize("relu", [True, False])
+    @pytest.mark.parametrize("kind", ["dense", "low_rank", "bias"])
+    def test_linear_matches_composed_ops(self, kind, relu):
+        # Small integers make many pre-activations exactly zero, the ReLU's
+        # kink; three chained calls share one weight, as the rounds do.
+        rng = np.random.default_rng(7)
+        x, b = rng.integers(-2, 3, size=(6, 4)).astype(float), rng.integers(-1, 2, size=4).astype(float)
+        w, u, v = (rng.integers(-2, 3, size=shape).astype(float) for shape in ((4, 4), (4, 2), (2, 4)))
+        g = rng.normal(size=(6, 4))
+
+        def layer(h, b, w, u, v, fused):
+            if kind == "dense":
+                return linear(h, w.T, b, relu) if fused else h @ w.T + b
+            if kind == "low_rank":
+                return linear(h @ u, v, b, relu) if fused else (h @ u) @ v + b
+            return linear(h, None, b, relu) if fused else h + b
+
+        def run(fused):
+            ts = self.leaves(x, b, w, u, v)
+            h = ts[0]
+            for _ in range(3):
+                h = layer(h, *ts[1:], fused)
+                h = relu_node(h) if relu and not fused else h
+            tsum(h * g).backward()
+            return h.data, [t.grad for t in ts]
+
+        (want, want_grads), (got, got_grads) = run(False), run(True)
+        assert not relu or (want == 0.0).any()
+        np.testing.assert_array_equal(got, want)
+        for a, e in zip(got_grads, want_grads):
+            assert (a is None) == (e is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, e)
+        plain = x
+        for _ in range(3):
+            plain = layer(plain, b, w, u, v, True)
+        np.testing.assert_array_equal(plain, got)
+
+    def test_linear_plain_path_equals_numpy(self):
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(5, 3)), rng.normal(size=(3, 4)), rng.normal(size=4)
+        np.testing.assert_array_equal(linear(x, w, b, relu=True), np.maximum(x @ w + b, 0.0))
+        np.testing.assert_array_equal(linear(x, w, b), x @ w + b)
+        np.testing.assert_array_equal(linear(x @ w, None, b, relu=True), np.maximum(x @ w + b, 0.0))
+
+    def test_row_dot_matches_composed_ops(self):
+        rng = np.random.default_rng(9)
+        h, x, g = rng.normal(size=(5, 6)), rng.normal(size=(5, 6)), rng.normal(size=5)
+        np.testing.assert_array_equal(row_dot(h, x), tsum(h * x, axis=1))
+        (tw,), (tf,) = self.leaves(x), self.leaves(x)
+        want, got = tsum(h * tw, axis=1), row_dot(h, tf)
+        np.testing.assert_array_equal(got.data, want.data)
+        tsum(want * g).backward()
+        tsum(got * g).backward()
+        np.testing.assert_array_equal(tf.grad, tw.grad)
+
+    def test_adopted_gradients_are_never_shared(self):
+        # One fresh gradient must not become two nodes' arrays: a
+        # fan-out through + copies, and t * t makes two products.
+        t = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a = t * 3.0
+        tsum(square(a + a) + t * t).backward()
+        np.testing.assert_array_equal(t.grad, [74.0, 148.0])

@@ -352,3 +352,11 @@ class TestDiskAndCsv:
         assert names == {"mlp1.0", "mlp1.1", "mlp2.0", "mlp2.1"}
         mlp11 = [r for r in rows[1:] if r[0] == "mlp1.1"]
         assert len(mlp11) == 64 and all(r[3] != "" for r in mlp11)
+
+    def test_singular_value_csv_not_written_on_spectra_error(self, tmp_path):
+        params = init_params(MpgnnArch(n_tx_antennas=2), 4)
+        params.mlp2.layers[1].weight[0, 0] = np.nan
+        path = tmp_path / "svals.csv"
+        with pytest.raises(ValueError, match="finite"):
+            write_singular_values(params, path)
+        assert not path.exists()

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from lrgnn.autodiff import Tensor
+from lrgnn.autodiff import Tensor, tsum
 from lrgnn.mpgnn import (
     MSG_DIM,
     ModelFormatError,
@@ -161,6 +161,37 @@ class TestLayerStep:
         hidden = layer_step(np.zeros((4, 6)), g, params, round_terms(fixed, g, params))
         np.testing.assert_array_equal(fixed, before)
         assert np.all((hidden > 0.0) & (hidden < 1.0))
+
+    @pytest.mark.parametrize("ranks", [None, (2, 3)], ids=["dense", "low_rank"])
+    @pytest.mark.parametrize("threshold", [1500.0, 1e-6], ids=["edges", "no-edges"])
+    def test_round_one_none_equals_zero_state(self, ranks, threshold):
+        # hidden None skips round 1's projections of the all-zero state;
+        # values and every gradient keep their bits, taped and plain.
+        arch = MpgnnArch(3) if ranks is None else MpgnnArch(3, "low_rank", *ranks)
+        s, g = random_case(seed=2, n=5, threshold=threshold)
+        assert (g.edges.shape[0] == 0) == (threshold < 1.0)
+        params = init_params(arch, 1)
+        rng = np.random.default_rng(6)
+        for a in params.flat():  # non-zero biases too
+            a += 0.1 * rng.normal(size=a.shape)
+        upstream = rng.normal(size=(5, 6))
+
+        def run(hidden, taped):
+            arrays = [Tensor(a, requires_grad=True) for a in params.flat()] if taped else params.flat()
+            p = rebuild_params(arch, arrays)
+            out = layer_step(hidden, g, p, round_terms(g.vertex_features[:, :6], g, p))
+            if not taped:
+                return out, []
+            tsum(out * upstream).backward()
+            return out.data, [t.grad for t in arrays]
+
+        for taped in (False, True):
+            (want, want_grads), (got, got_grads) = run(np.zeros((5, 6)), taped), run(None, taped)
+            np.testing.assert_array_equal(got, want)
+            for a, e in zip(got_grads, want_grads):
+                assert (a is None) == (e is None)
+                if a is not None:
+                    np.testing.assert_array_equal(a, e)
 
     def test_isolated_vertices_update(self):
         # No edges at all: aggregation is a zero vector, update defined.

@@ -14,6 +14,7 @@ from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset, g
 from lrgnn.trainer import (
     TrainConfig,
     _batch_grad,
+    _union,
     evaluate,
     params_checksum,
     sample_rates,
@@ -255,6 +256,33 @@ def test_batch_grad_digests_frozen(ranks):
     assert h.hexdigest() == BATCH_GRAD_DIGESTS[ranks]
     _, report = train(data, TrainConfig(arch=arch, epochs=2, batch_size=8, seed=2), dataset(4, seed=12, nt=4))
     assert report.params_checksum == TRAIN_CHECKSUMS[ranks]
+
+
+def tape_nodes(root) -> int:
+    """Recorded ops (nodes with a backward) reachable from root."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += t._backward is not None
+            stack.extend(t._parents)
+    return count
+
+
+# Nodes on one union's loss tape: 16 samples at N=3, Nt=4, 77 edges.
+TAPE_NODES = {None: 80, (2, 3): 78}
+
+
+@pytest.mark.parametrize("ranks", [None, (2, 3)], ids=["dense", "low_rank"])
+def test_tape_node_count_frozen(ranks):
+    # A change that records more nodes per union shows up here.
+    arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
+    graph, _ = _union([s.graph for s in dataset(16, seed=11, nt=4)])
+    assert graph.edges.shape[0] == 77
+    tensors = [Tensor(a, requires_grad=True) for a in init_params(arch, 5).flat()]
+    loss = -wsr_from_real(graph, forward_real(graph, rebuild_params(arch, tensors), arch))
+    assert tape_nodes(loss) == TAPE_NODES[ranks]
 
 
 class TestUnionScoring:

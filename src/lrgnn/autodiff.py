@@ -354,9 +354,8 @@ def gather_rows(x, idx: np.ndarray):
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        if idx.size:
-            order, starts, rows = group_keys(idx)
-            gx[rows] = np.add.reduceat(g[order], starts, axis=0)
+        order, starts, rows = group_keys(idx)
+        gx[rows] = np.add.reduceat(g[order], starts, axis=0)
         x._accumulate(gx, fresh=True)
 
     return Tensor._make(out_data, (x,), bw)
@@ -376,26 +375,23 @@ def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None
     is_tensor = isinstance(messages, Tensor)
     msg_data = messages.data if is_tensor else messages
     out_data = np.zeros((n_rows, msg_data.shape[1]), dtype=np.float64)
-    if targets.size:
-        order, starts, rows = group_keys(targets) if groups is None else groups
-        sorted_msg = msg_data[order]
-        out_data[rows] = np.maximum.reduceat(sorted_msg, starts, axis=0)
-        if is_tensor:
-            # Per run and coordinate, the first sorted row that holds the
-            # maximum wins: the first maximal message in list order. A NaN
-            # counts as maximal, as in argmax.
-            hit = sorted_msg == out_data[targets[order]]
-            if np.isnan(out_data[rows]).any():
-                hit |= np.isnan(sorted_msg)
-            pos = np.where(hit, np.arange(order.size)[:, None], order.size)
-            winners = order[np.minimum.reduceat(pos, starts, axis=0)]
+    order, starts, rows = group_keys(targets) if groups is None else groups
+    sorted_msg = msg_data[order]
+    out_data[rows] = np.maximum.reduceat(sorted_msg, starts, axis=0)
     if not is_tensor:
         return out_data
+    # Per run and coordinate, the first sorted row that holds the maximum
+    # wins: the first maximal message in list order. A NaN counts as
+    # maximal, as in argmax.
+    hit = sorted_msg == out_data[targets[order]]
+    if np.isnan(out_data[rows]).any():
+        hit |= np.isnan(sorted_msg)
+    pos = np.where(hit, np.arange(order.size)[:, None], order.size)
+    winners = order[np.minimum.reduceat(pos, starts, axis=0)]
 
     def bw(g):
         gm = np.zeros_like(msg_data)
-        if targets.size:
-            gm[winners, np.arange(msg_data.shape[1])] = g[rows]
+        gm[winners, np.arange(msg_data.shape[1])] = g[rows]
         messages._accumulate(gm, fresh=True)
 
     return Tensor._make(out_data, (messages,), bw)

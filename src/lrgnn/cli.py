@@ -27,7 +27,7 @@ import numpy as np
 
 from . import compression, scenario, trainer
 from .binio import FormatError
-from .mpgnn import MpgnnArch, count_model_params, load_model, save_model
+from .mpgnn import MpgnnArch, count_model_params, load_model, mlp_dims, save_model
 from .scenario import ScenarioConfig, generate_dataset, read_dataset, write_dataset
 
 
@@ -62,7 +62,6 @@ _GEN_DATA = (ScenarioConfig, (
     _Setting("d_min", float, "min TX-RX distance, meters"),
     _Setting("d_max", float, "max TX-RX distance, meters"),
     _Setting("edge_threshold", float, "interference edge distance, meters (default {default:g})"),
-    _Setting("pathloss_log_base", str, "path-loss log base (default {default})", scenario._LOG_BASES),
     _Setting("antenna_gain_dbi", float),
     _Setting("shadow_sigma_db", float),
     _Setting("p_max", float, "per-TX power budget"),
@@ -132,8 +131,12 @@ def cmd_gen_data(args) -> int:
     # fails earlier leaves no new directory.
     os.makedirs(args.out, exist_ok=True)
     write_dataset(train, os.path.join(args.out, "train.bin"))
+    test_path = os.path.join(args.out, "test.bin")
     if test:
-        write_dataset(test, os.path.join(args.out, "test.bin"))
+        write_dataset(test, test_path)
+    elif os.path.exists(test_path):
+        # An earlier run's test set would be read by train as this one's.
+        os.remove(test_path)
     _write_echo(os.path.join(args.out, "gen_config.json"), resolved)
     print(f"wrote {resolved['train']} train / {resolved['test']} test samples "
           f"(N={cfg.n_pairs}, Nt={cfg.n_tx_antennas}) to {args.out}")
@@ -223,11 +226,8 @@ def _model_csv_name(mode: str, path) -> str:
 def cmd_analyze(args) -> int:
     if args.mode in ("size-table", "p-heatmap"):
         grid = compression.size_ratio_table(args.nt)
-        if args.mode == "size-table":
-            name, cells = "size_table.csv", grid.size_ratios
-        else:
-            name, cells = "p_heatmap.csv", grid.p_values
-        path = os.path.join(args.out, name)
+        cells = grid.size_ratios if args.mode == "size-table" else grid.p_values
+        path = os.path.join(args.out, f"{args.mode.replace('-', '_')}_nt{args.nt}.csv")
         os.makedirs(args.out, exist_ok=True)
         compression.write_grid(grid, cells, path)
         print(f"wrote {path} (Nt={args.nt})")
@@ -255,7 +255,8 @@ def cmd_inspect(args) -> int:
         print(f"kind: dense, Nt={arch.n_tx_antennas}")
     else:
         print(f"kind: low_rank (a1={arch.rank1}, a2={arch.rank2}), Nt={arch.n_tx_antennas}")
-    print(f"mlp1 dims {arch.mlp1_dims}, mlp2 dims {arch.mlp2_dims}, {arch.n_rounds} rounds")
+    dims1, dims2 = mlp_dims(arch.n_tx_antennas)
+    print(f"mlp1 dims {dims1}, mlp2 dims {dims2}, {arch.n_rounds} rounds")
     print(f"power budget p_max: {arch.p_max!r}")
     print(f"weight parameters (bias-free): {weights.total} "
           f"(mlp1 {weights.mlp1}, mlp2 {weights.mlp2})")

@@ -30,8 +30,6 @@ from .nn import layer_shapes
 TABLE_A1 = (4, 16, 32, 64)
 TABLE_A2 = (4, 16, 32, 64, 128, 256, 512)
 
-_CONSISTENCY_TOL = 1e-12
-
 
 def reduction_fraction(nt: int, a1: int, a2: int) -> float:
     """Closed-form parameter reduction fraction.
@@ -64,10 +62,9 @@ class ReductionGrid:
 def size_ratio_table(nt: int, a1_values=TABLE_A1, a2_values=TABLE_A2) -> ReductionGrid:
     """Dense/low-rank parameter ratios over the rank grid.
 
-    Ratios come from counting the layer shapes; each cell is
-    cross-validated against the closed form through p = 1 - 1/ratio and
-    a disagreement beyond 1e-12 raises, so the two routes cannot drift
-    apart silently.
+    Ratios come from counting the layer shapes, reduction fractions
+    from the closed form reduction_fraction; the two agree through
+    p = 1 - 1/ratio, which the acceptance tests check over this grid.
     """
     dense = param_counts(nt, None, include_bias=False).total
     p = np.zeros((len(a1_values), len(a2_values)))
@@ -77,12 +74,6 @@ def size_ratio_table(nt: int, a1_values=TABLE_A1, a2_values=TABLE_A2) -> Reducti
             lr = param_counts(nt, (a1, a2), include_bias=False).total
             ratio[i, j] = dense / lr
             p[i, j] = reduction_fraction(nt, a1, a2)
-            counted = 1.0 - 1.0 / ratio[i, j]
-            if abs(p[i, j] - counted) > _CONSISTENCY_TOL * max(1.0, abs(p[i, j])):
-                raise RuntimeError(
-                    f"reduction formula disagrees with counted parameters at "
-                    f"(Nt={nt}, a1={a1}, a2={a2}): {p[i, j]} vs {counted}"
-                )
     return ReductionGrid(nt, tuple(a1_values), tuple(a2_values), p, ratio)
 
 

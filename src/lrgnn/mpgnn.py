@@ -111,14 +111,6 @@ class MpgnnArch:
         """None for dense, else (rank1, rank2), as layer_dims takes them."""
         return None if self.kind == "dense" else (self.rank1, self.rank2)
 
-    @property
-    def mlp1_dims(self) -> list:
-        return mlp_dims(self.n_tx_antennas)[0]
-
-    @property
-    def mlp2_dims(self) -> list:
-        return mlp_dims(self.n_tx_antennas)[1]
-
 
 @dataclass
 class MpgnnParams:

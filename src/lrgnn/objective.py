@@ -54,11 +54,8 @@ def _sinr(graph: Graph, q_real):
     SINR_n = |h_nn^H q_n|^2 / (sum over edges (i, n) of |h_in^H q_i|^2 + sigma2_n)."""
     z = graph.vertex_features
     sig = _power(z[:, :-2], q_real)
-    if graph.edges.shape[0]:
-        p_e = _power(graph.edge_features, gather_rows(q_real, graph.edges[:, 0]))
-        interf = scatter_sum(p_e, graph.edges[:, 1], graph.n_vertices)
-    else:
-        interf = np.zeros(graph.n_vertices)
+    p_e = _power(graph.edge_features, gather_rows(q_real, graph.edges[:, 0]))
+    interf = scatter_sum(p_e, graph.edges[:, 1], graph.n_vertices)
     return sig / (interf + z[:, -1]), interf
 
 

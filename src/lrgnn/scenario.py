@@ -7,7 +7,7 @@ an edge (i, n) whenever TX i sits within the interference threshold of
 RX n.
 
 Channel model: h = 10^(-L(d)/20) * sqrt(psi * rho) * g with path loss
-L(d) = 148.1 + 37.6 * log(d_km), antenna gain psi (dBi, linear-ized),
+L(d) = 148.1 + 37.6 * log10(d_km), antenna gain psi (dBi, linear-ized),
 log-normal shadowing rho, and i.i.d. circularly-symmetric complex
 Gaussian small-scale fading g per antenna.
 """
@@ -26,7 +26,6 @@ from .binio import FormatError, open_reader
 DATASET_MAGIC = b"LRGD"
 DATASET_VERSION = 2
 
-_LOG_BASES = ("log10", "log2")
 _WEIGHT_MODES = ("all_ones", "uniform01")
 
 
@@ -51,7 +50,6 @@ class ScenarioConfig:
     d_min: float = 10.0
     d_max: float = 100.0
     edge_threshold: float = 500.0
-    pathloss_log_base: str = "log10"
     antenna_gain_dbi: float = 9.0
     shadow_sigma_db: float = 8.0
     p_max: float = 1.0
@@ -78,8 +76,6 @@ class ScenarioConfig:
             raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
         if self.shadow_sigma_db < 0.0:
             raise ValueError("shadow_sigma_db must be >= 0")
-        if self.pathloss_log_base not in _LOG_BASES:
-            raise ValueError(f"pathloss_log_base must be one of {_LOG_BASES}")
         if self.weights_mode not in _WEIGHT_MODES:
             raise ValueError(f"weights_mode must be one of {_WEIGHT_MODES}")
         if self.seed < 0:
@@ -107,10 +103,9 @@ class Scenario:
     """One network realization.
 
     channels[i, n] is the length-Nt vector from TX i to RX n; the
-    diagonal holds the desired links. Channels and noise are stored
-    after joint normalization: channels scaled by `scale_factor` and
-    noise powers by its square, chosen so the mean desired-link power
-    is 1. SINR is invariant under that joint scaling.
+    diagonal holds the desired links. Channels are normalized so the
+    mean desired-link power is 1, and noise powers follow from the SNR
+    setting in those units.
     """
 
     tx_positions: np.ndarray  # (N, 2) meters
@@ -118,7 +113,6 @@ class Scenario:
     channels: np.ndarray  # (N, N, Nt) complex128
     weights: np.ndarray  # (N,)
     noise_powers: np.ndarray  # (N,) linear
-    scale_factor: float = 1.0
     p_max: float = 1.0
 
     @property
@@ -159,11 +153,10 @@ class Sample(NamedTuple):
     graph: Graph
 
 
-def pathloss_db(distance_m, base: str = "log10"):
+def pathloss_db(distance_m):
     """Path loss in dB at a distance given in meters (formula takes km)."""
     d_km = np.asarray(distance_m, dtype=np.float64) / 1000.0
-    log_d = np.log10(d_km) if base == "log10" else np.log2(d_km)
-    return 148.1 + 37.6 * log_d
+    return 148.1 + 37.6 * np.log10(d_km)
 
 
 def split_complex(h: np.ndarray) -> np.ndarray:
@@ -206,7 +199,7 @@ def generate_scenario(cfg: ScenarioConfig, seed: int | None = None) -> Scenario:
     # path gain, the channels or their normalization; each is checked
     # once on its result below.
     with np.errstate(all="ignore"):
-        gain = 10.0 ** (-pathloss_db(d, cfg.pathloss_log_base) / 20.0)
+        gain = 10.0 ** (-pathloss_db(d) / 20.0)
         if not np.isfinite(gain).all():
             # Only a TX-RX distance near 0 m, which d_min bounds, overflows the gain.
             raise ValueError(
@@ -243,7 +236,6 @@ def generate_scenario(cfg: ScenarioConfig, seed: int | None = None) -> Scenario:
         channels=channels,
         weights=_snap_f32(w),
         noise_powers=_snap_f32(sigma2),
-        scale_factor=float(alpha),
         p_max=cfg.p_max,
     )
 
@@ -271,10 +263,7 @@ def graph_from_edges(s: Scenario, edges: np.ndarray) -> Graph:
         ],
         axis=1,
     )
-    if edges.shape[0]:
-        feats = split_complex(s.channels[edges[:, 0], edges[:, 1], :])
-    else:
-        feats = np.zeros((0, 2 * s.n_tx_antennas))
+    feats = split_complex(s.channels[edges[:, 0], edges[:, 1], :])
     return Graph(vertex_features=z, edges=edges, edge_features=feats)
 
 
@@ -331,9 +320,7 @@ def _edge_problem(edges: np.ndarray, n: int) -> str | None:
     """Why `edges` is not an edge list of an n-vertex interference graph
     (indices below n, no self-loops, strictly increasing in (source,
     target)), or None if it is one."""
-    if not edges.shape[0]:
-        return None
-    if edges.max() >= n:
+    if np.any(edges >= n):
         return f"has an edge index >= its pair count {n}"
     if np.any(edges[:, 0] == edges[:, 1]):
         return "has a self-loop edge"
@@ -348,8 +335,8 @@ def _edge_problem(edges: np.ndarray, n: int) -> str | None:
 def read_dataset(path) -> list[Sample]:
     """Read a dataset file back into (Scenario, Graph) samples.
 
-    Stored channels are already normalized, so scale_factor is 1 on the
-    reconstructed scenarios. Each gets the file's power budget p_max.
+    Stored channels are already normalized. Each scenario gets the
+    file's power budget p_max.
     """
     r = open_reader(path, DATASET_MAGIC, DATASET_VERSION, DatasetFormatError)
     n_samples = r.u32("sample count")

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from lrgnn.cli import main
+from lrgnn.compression import size_ratio_table
 from lrgnn.mpgnn import load_model
 from lrgnn.objective import baseline_beamformers
 from lrgnn.scenario import Sample, graph_from_edges, read_dataset, write_dataset
@@ -74,6 +75,28 @@ class TestGenData:
         train = read_dataset(data_dir / "train.bin")
         test = read_dataset(data_dir / "test.bin")
         assert not np.array_equal(train[0].scenario.channels, test[0].scenario.channels)
+
+    def test_no_test_set_removes_a_stale_test_file(self, tmp_path, capsys):
+        # A directory that holds an earlier run's test.bin: train must not
+        # score the new run on it.
+        data = tmp_path / "data"
+        gen = ["gen-data", "--out", str(data), "--pairs", "2", "--antennas", "2", "--train", "4"]
+        assert main([*gen, "--test", "3", "--seed", "1"]) == 0
+        assert main([*gen, "--test", "0", "--seed", "9"]) == 0
+        assert not (data / "test.bin").exists()
+        assert json.loads((data / "gen_config.json").read_text())["test"] == 0
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                     "--epochs", "1", "--batch-size", "4"]) == 0
+        assert "test sum rate" not in capsys.readouterr().out
+
+    def test_removed_pathloss_log_base_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as e:
+            main(["gen-data", "--out", str(out), "--pathloss-log-base", "log10"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --pathloss-log-base" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -450,17 +473,30 @@ class TestAnalyze:
     def test_size_table(self, tmp_path):
         rc = main(["analyze", "--mode", "size-table", "--nt", "64", "--out", str(tmp_path)])
         assert rc == 0
-        with open(tmp_path / "size_table.csv", newline="") as f:
+        with open(tmp_path / "size_table_nt64.csv", newline="") as f:
             rows = list(csv.reader(f))
         assert len(rows) == 5 and rows[0][0] == "a1/a2"
 
     def test_p_heatmap(self, tmp_path):
         rc = main(["analyze", "--mode", "p-heatmap", "--out", str(tmp_path)])
         assert rc == 0
-        with open(tmp_path / "p_heatmap.csv", newline="") as f:
+        with open(tmp_path / "p_heatmap_nt512.csv", newline="") as f:
             rows = list(csv.reader(f))
         # Default grid is Nt=512; spot-check the (4, 4) cell.
         assert float(rows[1][1]) == pytest.approx(0.9835600907029478, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["size-table", "p-heatmap"])
+    def test_grids_of_two_antenna_counts_keep_separate_csvs(self, tmp_path, mode):
+        for nt in (8, 16):
+            assert main(["analyze", "--mode", mode, "--nt", str(nt), "--out", str(tmp_path)]) == 0
+        prefix = mode.replace("-", "_")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{prefix}_nt16.csv", f"{prefix}_nt8.csv"]
+        for nt in (8, 16):
+            grid = size_ratio_table(nt)
+            with open(tmp_path / f"{prefix}_nt{nt}.csv", newline="") as f:
+                rows = list(csv.reader(f))
+            cells = grid.size_ratios if mode == "size-table" else grid.p_values
+            assert [[float(x) for x in row[1:]] for row in rows[1:]] == cells.tolist()
 
     def test_weights_hist_and_svals(self, model_dir, tmp_path):
         model = str(model_dir / "model.bin")
@@ -641,4 +677,4 @@ class TestConsoleScript:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "size_table.csv").exists()
+        assert (tmp_path / "size_table_nt16.csv").exists()

@@ -36,9 +36,7 @@ def random_case(seed, n=4, nt=3, threshold=1500.0):
 
 class TestArch:
     def test_dims(self):
-        arch = MpgnnArch(n_tx_antennas=8)
-        assert arch.mlp1_dims == [48, 64, 64]
-        assert arch.mlp2_dims == [96, 512, 16]
+        assert mlp_dims(8) == ([48, 64, 64], [96, 512, 16])
         assert mlp_dims(512) == ([3072, 64, 64], [2112, 512, 1024])
 
     def test_kind_and_rank_validation(self):

@@ -47,8 +47,6 @@ class TestConfigValidation:
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, d_min=0.0)
 
     def test_rejects_bad_enums_and_signs(self):
-        with pytest.raises(ValueError, match="pathloss_log_base"):
-            ScenarioConfig(n_pairs=2, n_tx_antennas=2, pathloss_log_base="ln")
         with pytest.raises(ValueError, match="weights_mode"):
             ScenarioConfig(n_pairs=2, n_tx_antennas=2, weights_mode="exp")
         for bad in (0.0, math.nan, math.inf):
@@ -76,11 +74,6 @@ class TestPathloss:
     def test_frozen_value_at_100m(self):
         # 148.1 + 37.6*log10(0.1) = 148.1 - 37.6 = 110.5 dB.
         assert pathloss_db(100.0) == pytest.approx(110.5, abs=1e-12)
-
-    def test_log2_base(self):
-        # 148.1 + 37.6*log2(0.1).
-        expected = 148.1 + 37.6 * np.log2(0.1)
-        assert pathloss_db(100.0, base="log2") == pytest.approx(expected, abs=1e-12)
 
     def test_monotone_in_distance(self):
         d = np.linspace(10.0, 500.0, 50)
@@ -143,7 +136,6 @@ class TestGenerateScenario:
 
         # Stored values went through one f32 round trip.
         np.testing.assert_allclose(s.channels, h, rtol=2e-6, atol=1e-9)
-        np.testing.assert_allclose(s.scale_factor, alpha, rtol=1e-12)
 
     def test_shadowless_magnitude_matches_formula(self):
         # With zero shadowing, |h_in| = alpha * 10^(-L/20) * sqrt(psi) * |g|.
@@ -158,7 +150,9 @@ class TestGenerateScenario:
         d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
         g = (rg.standard_normal((n, n, nt)) + 1j * rg.standard_normal((n, n, nt))) / np.sqrt(2.0)
         mag = 10.0 ** (-pathloss_db(d) / 20.0) * np.sqrt(10.0 ** 0.9)
-        expected = s.scale_factor * mag[:, :, None] * np.abs(g)
+        diag = mag[np.arange(n), np.arange(n), None] * g[np.arange(n), np.arange(n), :]
+        alpha = 1.0 / np.sqrt(np.mean(np.sum(np.abs(diag) ** 2, axis=1)))
+        expected = alpha * mag[:, :, None] * np.abs(g)
         np.testing.assert_allclose(np.abs(s.channels), expected, rtol=2e-6)
 
     def test_weight_modes(self):

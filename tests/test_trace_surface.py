@@ -12,7 +12,7 @@ import pytest
 
 import lrgnn
 from lrgnn.cli import main
-from lrgnn.mpgnn import MpgnnArch, init_params
+from lrgnn.mpgnn import MpgnnArch, init_params, mlp_dims
 from lrgnn.scenario import ScenarioConfig, build_graph, generate_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,7 +42,8 @@ def test_tracer_records_the_mlp_spans(tracer):
     # Through the package binding, as the benchmark calls it: the tracer
     # patches bindings inside lrgnn, not this module's imports.
     lrgnn.forward(graph, params, arch)
-    params.mlp2(np.zeros((1, arch.mlp2_dims[0])))
+    dims1, dims2 = mlp_dims(arch.n_tx_antennas)
+    params.mlp2(np.zeros((1, dims2[0])))
 
     names = [s[2] for s in tracer.spans]
     for name in ("mpgnn.forward", "mpgnn.forward_real", "mpgnn.layer_step", "nn.mlp1", "nn.mlp2"):
@@ -55,7 +56,7 @@ def test_tracer_records_the_mlp_spans(tracer):
     # (MLP2), once per round, with the FLOPs of the tail layer alone.
     in_forward = tracer.spans[:-1]
     e, v = graph.edges.shape[0], graph.n_vertices
-    for name, rows, (d_in, d_out) in (("nn.mlp1", e, arch.mlp1_dims[1:]), ("nn.mlp2", v, arch.mlp2_dims[1:])):
+    for name, rows, (d_in, d_out) in (("nn.mlp1", e, dims1[1:]), ("nn.mlp2", v, dims2[1:])):
         attrs = [s[5] for s in in_forward if s[2] == name]
         assert len(attrs) == arch.n_rounds
         assert all(a == {"rows": rows, "flops": 2 * rows * d_in * d_out} for a in attrs)

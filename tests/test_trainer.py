@@ -9,7 +9,7 @@ import pytest
 
 from lrgnn.autodiff import Tensor
 from lrgnn.mpgnn import MpgnnArch, forward, forward_real, init_params, load_model, rebuild_params, save_model
-from lrgnn.objective import weighted_sum_rate, wsr_from_real
+from lrgnn.objective import rate_report, weighted_sum_rate, wsr_from_real
 from lrgnn.scenario import Sample, Scenario, ScenarioConfig, generate_dataset, graph_from_edges
 from lrgnn.trainer import (
     TrainConfig,
@@ -256,6 +256,50 @@ def test_batch_grad_digests_frozen(ranks):
     assert h.hexdigest() == BATCH_GRAD_DIGESTS[ranks]
     _, report = train(data, TrainConfig(arch=arch, epochs=2, batch_size=8, seed=2), dataset(4, seed=12, nt=4))
     assert report.params_checksum == TRAIN_CHECKSUMS[ranks]
+
+
+# SHA-256 of _batch_grad's loss and gradient bytes, and of sample_rates'
+# bytes, on edgeless samples, per ranks; and of rate_report's four arrays
+# for one edgeless graph.
+ZERO_EDGE_DIGESTS = {
+    None: ("55565ce31ce0459d37e5ca58eb2f7128b015e3a2cc57904e0d9e65196084c871",
+           "6515ad8a7de21e3989241ddb8bde1dbfcf6714fd72d98f78d45a04ad1f2bb942"),
+    (2, 3): ("30a9032b3b4dc9f4ac24148b898e9784d53c9a7038324f0314bd2d1d3c50c5d0",
+             "cef626935aa3356ce12b3db28fb40f13cc3129c94655226e0756dbcff0ab7a5d"),
+}
+ZERO_EDGE_REPORT_DIGEST = "bddb35387d460f9641ef87f1de80c410f69534621fe8ec91dcf72a1825ba5275"
+
+
+def edgeless(samples):
+    """The samples with their edges dropped."""
+    return [Sample(s, graph_from_edges(s, np.empty((0, 2), dtype=np.intp))) for s, _ in samples]
+
+
+@pytest.mark.parametrize("ranks", [None, (2, 3)], ids=["dense", "low_rank"])
+def test_zero_edge_digests_frozen(ranks):
+    # Pins the bits of graphs without edges: the model skips its edge
+    # terms, and the objective's gather and scatter run on zero rows.
+    # 20 samples at N=3, Nt=4 are two all-edgeless unions.
+    arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
+    data = edgeless(dataset(20, seed=11, nt=4))
+    arrays = init_params(arch, 5).flat()
+    loss, grads = _batch_grad(arch, arrays, data)
+    h = hashlib.sha256(np.float64(loss).tobytes())
+    for g in grads:
+        h.update(g.astype("<f8").tobytes())
+    rates = sample_rates(arch, rebuild_params(arch, arrays), data)
+    digests = (h.hexdigest(), hashlib.sha256(rates.astype("<f8").tobytes()).hexdigest())
+    assert digests == ZERO_EDGE_DIGESTS[ranks]
+
+
+def test_zero_edge_rate_report_frozen():
+    graph = edgeless(dataset(1, seed=13, nt=4))[0].graph
+    q = np.random.default_rng(7).standard_normal((3, 8))
+    report = rate_report(graph, q)
+    h = hashlib.sha256()
+    for a in report:
+        h.update(np.asarray(a).astype("<f8").tobytes())
+    assert h.hexdigest() == ZERO_EDGE_REPORT_DIGEST
 
 
 def tape_nodes(root) -> int:

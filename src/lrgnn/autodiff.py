@@ -44,8 +44,7 @@ def group_keys(keys: np.ndarray) -> tuple:
 
     Returns (order, starts, run_keys): keys[order] is sorted with ties in
     list order, runs begin at positions `starts` of the sorted array, and
-    run_keys holds each run's key. scatter_max accepts the result, so a
-    caller that reduces over the same keys repeatedly groups them once.
+    run_keys holds each run's key, as gather_rows' backward reduces them.
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
@@ -251,10 +250,16 @@ def linear(x, w, b, relu: bool = False):
 
 
 def sigmoid(x):
+    # 1 / (1 + exp(-clip(x))): its ufuncs in that order, in one array.
     # np.minimum(np.maximum(.)) is np.clip without its Python wrapper,
     # which costs more than the arithmetic on the small arrays of a
     # message-passing round.
-    s = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(value(x), -500.0), 500.0)))
+    s = np.maximum(value(x), -500.0)
+    np.minimum(s, 500.0, out=s)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    np.add(1.0, s, out=s)
+    np.divide(1.0, s, out=s)
     if not isinstance(x, Tensor):
         return s
 
@@ -361,6 +366,30 @@ def gather_rows(x, idx: np.ndarray):
     return Tensor._make(out_data, (x,), bw)
 
 
+def in_slots(targets: np.ndarray, n_rows: int) -> tuple:
+    """In-neighbour slot table of 1-D integer keys in [0, n_rows), as
+    scatter_max takes it.
+
+    Returns (slots, empty): row v of the (n_rows, max count) intp array
+    slots lists, in list order, the positions of the keys equal to v,
+    padded with repeats of its first one; empty masks the rows no key
+    hits, whose slots are arbitrary, or is None when every row has a key.
+    """
+    targets = np.asarray(targets, dtype=np.intp)
+    counts = np.bincount(targets, minlength=n_rows)
+    if counts.size > n_rows:
+        raise ValueError(f"targets reach row {counts.size - 1} of {n_rows}")
+    order = targets.argsort(kind="stable")
+    # Slot j of row v is position start_v + j of the sorted order for
+    # j < count_v, else start_v. Empty rows past the last key start at
+    # the last key rather than past the end; without keys the table has
+    # no columns and reads nothing.
+    starts = np.minimum(np.add.accumulate(counts) - counts, targets.size - 1)
+    j = np.arange(counts.max(initial=0))
+    pos = starts[:, None] + j * (j < counts[:, None])
+    return order[pos], None if np.count_nonzero(counts) == n_rows else counts == 0
+
+
 def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None = None):
     """Per-row elementwise max of `messages` grouped by `targets`.
 
@@ -368,26 +397,38 @@ def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None
     gradient is routed to exactly one contributor per coordinate: the
     first maximal message in list order, so callers control tie-breaking
     by how they order the message rows. groups, if given, must be
-    group_keys(targets). On the tape the winners are found in the forward
-    pass, and the node holds them rather than the sorted messages.
+    in_slots(targets, n_rows), the table each row reads its messages
+    through. On the tape the winners are found in the forward pass, and
+    the node holds them rather than the gathered messages.
     """
-    targets = np.asarray(targets, dtype=np.intp)
     is_tensor = isinstance(messages, Tensor)
     msg_data = messages.data if is_tensor else messages
-    out_data = np.zeros((n_rows, msg_data.shape[1]), dtype=np.float64)
-    order, starts, rows = group_keys(targets) if groups is None else groups
-    sorted_msg = msg_data[order]
-    out_data[rows] = np.maximum.reduceat(sorted_msg, starts, axis=0)
+    slots, empty = in_slots(targets, n_rows) if groups is None else groups
+    n_slots = slots.shape[1]
+    if not n_slots:  # no messages: every row is empty
+        out_data = np.zeros((n_rows, msg_data.shape[1]))
+        if is_tensor:
+            return Tensor._make(out_data, (messages,),
+                                lambda g: messages._accumulate(np.zeros_like(msg_data), fresh=True))
+        return out_data
+    gathered = msg_data[slots]
+    out_data = np.maximum.reduce(gathered, axis=1)
+    if is_tensor:
+        # Per row and coordinate, the first slot that holds the maximum
+        # wins: the first maximal message in list order. A NaN counts as
+        # maximal, as in argmax. Slot j scores n_slots - j where it hits,
+        # so the best score marks the first hit; every row has one.
+        hit = gathered == out_data[:, None]
+        if np.isnan(out_data).any():
+            hit |= np.isnan(gathered)
+        score = hit * np.arange(n_slots, 0, -1, dtype=np.min_scalar_type(n_slots))[:, None]
+        first = n_slots - np.maximum.reduce(score, axis=1)
+        rows = slice(None) if empty is None else ~empty
+        winners = slots[np.arange(n_rows)[:, None], first][rows]
+    if empty is not None:
+        out_data[empty] = 0.0
     if not is_tensor:
         return out_data
-    # Per run and coordinate, the first sorted row that holds the maximum
-    # wins: the first maximal message in list order. A NaN counts as
-    # maximal, as in argmax.
-    hit = sorted_msg == out_data[targets[order]]
-    if np.isnan(out_data[rows]).any():
-        hit |= np.isnan(sorted_msg)
-    pos = np.where(hit, np.arange(order.size)[:, None], order.size)
-    winners = order[np.minimum.reduceat(pos, starts, axis=0)]
 
     def bw(g):
         gm = np.zeros_like(msg_data)

@@ -9,8 +9,10 @@ with a sigmoid into the new hidden part. One MLP pair is shared across
 all rounds. Both first layers are linear in their concatenated inputs,
 so they run split at the input blocks: the fixed and edge terms are
 computed once per forward pass (round_terms), and a round projects
-only hidden, on vertex rows, before gathering it to the edges. Round
-1's hidden state is all zero, so that round skips its projections. The
+only hidden, on vertex rows, before gathering it to the edges.
+scatter_max reads each vertex's messages through the in-neighbour
+slot table that round_terms builds once per pass. Round 1's hidden
+state is all zero, so that round skips its projections. The
 readout maps hidden from (0,1) to (-1,1), reads the halves as Re/Im of
 a complex vector, and radially projects onto the power ball, so every
 output satisfies ||q_n||^2 <= p_max.
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import gather_rows, group_keys, maximum, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
+from .autodiff import gather_rows, in_slots, maximum, row_slice, scatter_max, sigmoid, sqrt, square, tsum, value
 from .binio import FormatError, open_reader
 from .nn import DenseLinear, LowRankLinear, Mlp, init_layer, layer_shapes
 from .scenario import Graph, merge_complex
@@ -182,7 +184,8 @@ def count_model_params(arch: MpgnnArch, include_bias: bool = True) -> ParamCount
 class RoundTerms(NamedTuple):
     """What one forward pass's rounds share: the first layers' fixed and
     edge terms, their first factors' other row blocks, the MLP tails and
-    the grouped edge targets (None without edges, as is msg_const)."""
+    the in-neighbour slot table of the edge targets, which scatter_max
+    reads (None without edges, as is msg_const)."""
 
     groups: tuple | None
     msg_const: object  # per edge: the fixed_j and e_jn terms of MLP1's first layer
@@ -200,7 +203,7 @@ def round_terms(fixed, graph: Graph, params: MpgnnParams) -> RoundTerms:
     f1, f2 = params.mlp1.layers[0].first, params.mlp2.layers[0].first
     groups = msg_const = None
     if graph.edges.shape[0]:
-        groups = group_keys(graph.edges[:, 1])
+        groups = in_slots(graph.edges[:, 1], graph.n_vertices)
         fixed_j = gather_rows(fixed @ row_slice(f1, 0, w), graph.edges[:, 0])
         msg_const = fixed_j + graph.edge_features @ row_slice(f1, 2 * w, 3 * w)
     tail1 = Mlp(params.mlp1.layers[1:], params.mlp1.output_activation)

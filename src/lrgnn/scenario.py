@@ -165,9 +165,13 @@ def split_complex(h: np.ndarray) -> np.ndarray:
 
 
 def merge_complex(x: np.ndarray) -> np.ndarray:
-    """Inverse of split_complex on the last axis."""
+    """Inverse of split_complex on the last axis, written into the real
+    and imaginary parts of one new array."""
     nt = x.shape[-1] // 2
-    return x[..., :nt] + 1j * x[..., nt:]
+    z = np.empty(x.shape[:-1] + (nt,), dtype=np.complex128)
+    z.real = x[..., :nt]
+    z.imag = x[..., nt:]
+    return z
 
 
 def _snap_f32(a: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from lrgnn.autodiff import (
     Tensor,
     gather_rows,
+    in_slots,
     linear,
     log1p,
     maximum,
@@ -229,6 +230,44 @@ class TestStructuralOps:
         np.testing.assert_array_equal(taped.data, want_out)
         tsum(taped * g).backward()  # hands g back to taped exactly
         np.testing.assert_array_equal(t.grad, want_grad)
+
+    def test_scatter_max_nan_is_maximal(self):
+        # Row 0's column 1 holds two NaNs: the output is NaN there and the
+        # gradient goes to the first NaN in list order (message 2).
+        msgs = np.array([[1.0, 4.0], [3.0, 2.0], [0.5, np.nan], [2.0, np.nan], [7.0, 1.0]])
+        tgt = np.array([0, 0, 0, 0, 1])
+        want = np.array([[3.0, np.nan], [7.0, 1.0]])
+        np.testing.assert_array_equal(scatter_max(msgs, tgt, 2), want)
+        t = Tensor(msgs, requires_grad=True)
+        taped = scatter_max(t, tgt, 2)
+        np.testing.assert_array_equal(taped.data, want)
+        tsum(taped * np.ones((2, 2))).backward()
+        np.testing.assert_array_equal(t.grad, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+
+    def test_scatter_max_without_messages(self):
+        msgs = np.empty((0, 3))
+        tgt = np.empty(0, dtype=np.intp)
+        np.testing.assert_array_equal(scatter_max(msgs, tgt, 4), np.zeros((4, 3)))
+        t = Tensor(msgs, requires_grad=True)
+        taped = scatter_max(t, tgt, 4)
+        np.testing.assert_array_equal(taped.data, np.zeros((4, 3)))
+        tsum(taped).backward()
+        np.testing.assert_array_equal(t.grad, np.zeros((0, 3)))
+
+    def test_in_slots_layout(self):
+        # Rows 0 and 4 get no key; row 1 gets positions 1, 3, 5 in list
+        # order, and shorter rows repeat their first position.
+        slots, empty = in_slots(np.array([3, 1, 2, 1, 3, 1]), 5)
+        np.testing.assert_array_equal(slots[1:4], [[1, 3, 5], [2, 2, 2], [0, 4, 0]])
+        np.testing.assert_array_equal(empty, [True, False, False, False, True])
+        slots, empty = in_slots(np.array([1, 0, 1]), 2)
+        np.testing.assert_array_equal(slots, [[1, 1], [0, 2]])
+        assert empty is None
+        slots, empty = in_slots(np.empty(0, dtype=np.intp), 3)
+        assert slots.shape == (3, 0)
+        np.testing.assert_array_equal(empty, [True, True, True])
+        with pytest.raises(ValueError, match="row 3 of 3"):
+            in_slots(np.array([0, 3]), 3)
 
     def test_gather_rows_backward_matches_loop_reference(self):
         idx = np.array([4, 0, 4, 2, 0, 4, 1, 2])  # unsorted, repeats, row 3 unused

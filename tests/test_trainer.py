@@ -302,6 +302,33 @@ def test_zero_edge_rate_report_frozen():
     assert h.hexdigest() == ZERO_EDGE_REPORT_DIGEST
 
 
+# SHA-256 of forward's bytes on each of 16 single samples, and of
+# sample_rates' bytes over the same 16 samples as one union, per ranks.
+# N=10 with every pair interfering: each vertex has 9 in-neighbours.
+FORWARD_DIGESTS = {
+    None: ("60cf715ca2a53bf901fba0a4fc7e7338ca449711e2a5d5a9e88b5d253c475524",
+           "30d6be9dd68246b54f7f5c6a1e20c3f8cddd866d19deb2f8f14f426efc0f904a"),
+    (16, 4): ("cc253a45595a7bb7c322c9b48be902008a8d203ec01c8d57797089ac80520e24",
+              "fa3db022f21dd867f8e854ce19edde2f9353a2ecd04d2a4f831c91b908278e9e"),
+}
+
+
+@pytest.mark.parametrize("ranks", [None, (16, 4)], ids=["dense", "low_rank"])
+def test_forward_digests_frozen(ranks):
+    # Pins inference bits where max-aggregation reads many messages per row.
+    arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
+    cfg = ScenarioConfig(n_pairs=10, n_tx_antennas=4, edge_threshold=1e6, seed=21)
+    data = generate_dataset(cfg, 16)
+    assert all(s.graph.edges.shape[0] == 90 for s in data)
+    params = init_params(arch, 5)
+    h = hashlib.sha256()
+    for s in data:
+        h.update(forward(s.graph, params, arch).astype("<c16").tobytes())
+    rates = sample_rates(arch, params, data)
+    digests = (h.hexdigest(), hashlib.sha256(rates.astype("<f8").tobytes()).hexdigest())
+    assert digests == FORWARD_DIGESTS[ranks]
+
+
 def tape_nodes(root) -> int:
     """Recorded ops (nodes with a backward) reachable from root."""
     seen, stack, count = set(), [root], 0

@@ -39,22 +39,6 @@ def _consumed(g) -> None:
     raise RuntimeError("backward() through a tape that an earlier backward() already consumed")
 
 
-def group_keys(keys: np.ndarray) -> tuple:
-    """Stable sort of 1-D integer keys into runs of equal keys.
-
-    Returns (order, starts, run_keys): keys[order] is sorted with ties in
-    list order, runs begin at positions `starts` of the sorted array, and
-    run_keys holds each run's key, as gather_rows' backward reduces them.
-    """
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    first = np.empty(ks.shape[0], dtype=bool)
-    first[:1] = True
-    np.not_equal(ks[1:], ks[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return order, starts, ks[starts]
-
-
 class Tensor:
     """Array node on the gradient tape."""
 
@@ -351,19 +335,24 @@ def row_slice(x, start: int, stop: int):
 
 
 def gather_rows(x, idx: np.ndarray):
-    """Select rows `x[idx]`; the gradient scatter-adds back."""
+    """Select rows `x[idx]`; the gradient scatter-adds back. On the tape
+    idx must be non-decreasing, as graph edge sources are (ValueError
+    otherwise), so the backward sums each run of equal indices of the
+    gradient as it lies, without a sort. The plain path takes any order."""
     idx = np.asarray(idx, dtype=np.intp)
     if not isinstance(x, Tensor):
         return x[idx]
-    out_data = x.data[idx]
+    step = np.diff(idx, prepend=idx[:1] - 1)
+    if (step < 0).any():
+        raise ValueError("gather_rows on the tape needs non-decreasing indices")
+    starts = np.flatnonzero(step)
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        order, starts, rows = group_keys(idx)
-        gx[rows] = np.add.reduceat(g[order], starts, axis=0)
+        gx[idx[starts]] = np.add.reduceat(g, starts, axis=0)
         x._accumulate(gx, fresh=True)
 
-    return Tensor._make(out_data, (x,), bw)
+    return Tensor._make(x.data[idx], (x,), bw)
 
 
 def in_slots(targets: np.ndarray, n_rows: int) -> tuple:
@@ -390,21 +379,22 @@ def in_slots(targets: np.ndarray, n_rows: int) -> tuple:
     return order[pos], None if np.count_nonzero(counts) == n_rows else counts == 0
 
 
-def scatter_max(messages, targets: np.ndarray, n_rows: int, groups: tuple | None = None):
-    """Per-row elementwise max of `messages` grouped by `targets`.
+def scatter_max(messages, groups: tuple):
+    """Per-row elementwise max of `messages`, each row read through
+    groups = in_slots(targets, n_rows), the in-neighbour slot table of
+    the messages' target rows.
 
     Rows of the output with no contributing message are zero. The
     gradient is routed to exactly one contributor per coordinate: the
     first maximal message in list order, so callers control tie-breaking
-    by how they order the message rows. groups, if given, must be
-    in_slots(targets, n_rows), the table each row reads its messages
-    through. On the tape the winners are found in the forward pass, and
-    the node holds them rather than the gathered messages.
+    by how they order the message rows. On the tape the winners are
+    found in the forward pass, and the node holds them rather than the
+    gathered messages.
     """
     is_tensor = isinstance(messages, Tensor)
     msg_data = messages.data if is_tensor else messages
-    slots, empty = in_slots(targets, n_rows) if groups is None else groups
-    n_slots = slots.shape[1]
+    slots, empty = groups
+    n_rows, n_slots = slots.shape
     if not n_slots:  # no messages: every row is empty
         out_data = np.zeros((n_rows, msg_data.shape[1]))
         if is_tensor:

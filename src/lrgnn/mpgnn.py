@@ -185,9 +185,9 @@ class RoundTerms(NamedTuple):
     """What one forward pass's rounds share: the first layers' fixed and
     edge terms, their first factors' other row blocks, the MLP tails and
     the in-neighbour slot table of the edge targets, which scatter_max
-    reads (None without edges, as is msg_const)."""
+    reads. On a graph without edges, the edge terms have no rows."""
 
-    groups: tuple | None
+    groups: tuple
     msg_const: object  # per edge: the fixed_j and e_jn terms of MLP1's first layer
     msg_hidden: object
     upd_const: object  # per vertex: the fixed_n term of MLP2's first layer
@@ -201,11 +201,9 @@ def round_terms(fixed, graph: Graph, params: MpgnnParams) -> RoundTerms:
     """RoundTerms of a forward pass over `graph` with fixed states `fixed`."""
     w = fixed.shape[1]
     f1, f2 = params.mlp1.layers[0].first, params.mlp2.layers[0].first
-    groups = msg_const = None
-    if graph.edges.shape[0]:
-        groups = in_slots(graph.edges[:, 1], graph.n_vertices)
-        fixed_j = gather_rows(fixed @ row_slice(f1, 0, w), graph.edges[:, 0])
-        msg_const = fixed_j + graph.edge_features @ row_slice(f1, 2 * w, 3 * w)
+    groups = in_slots(graph.edges[:, 1], graph.n_vertices)
+    fixed_j = gather_rows(fixed @ row_slice(f1, 0, w), graph.edges[:, 0])
+    msg_const = fixed_j + graph.edge_features @ row_slice(f1, 2 * w, 3 * w)
     tail1 = Mlp(params.mlp1.layers[1:], params.mlp1.output_activation)
     tail2 = Mlp(params.mlp2.layers[1:], params.mlp2.output_activation)
     upd = [row_slice(f2, lo, hi) for lo, hi in ((0, w), (w, 2 * w), (2 * w, f2.shape[0]))]
@@ -225,11 +223,9 @@ def layer_step(hidden, graph: Graph, params: MpgnnParams, terms: RoundTerms):
     z, msg_first = terms.upd_const, terms.msg_const
     if hidden is not None:
         z = z + hidden @ terms.upd_hidden
-        if terms.groups is not None:
-            msg_first = msg_first + gather_rows(hidden @ terms.msg_hidden, graph.edges[:, 0])
-    if terms.groups is not None:
-        msgs = terms.tail1(params.mlp1.layers[0].finish(msg_first, relu=True))
-        z = z + scatter_max(msgs, graph.edges[:, 1], graph.n_vertices, terms.groups) @ terms.upd_agg
+        msg_first = msg_first + gather_rows(hidden @ terms.msg_hidden, graph.edges[:, 0])
+    msgs = terms.tail1(params.mlp1.layers[0].finish(msg_first, relu=True))
+    z = z + scatter_max(msgs, terms.groups) @ terms.upd_agg
     return sigmoid(terms.tail2(params.mlp2.layers[0].finish(z, relu=True)))
 
 

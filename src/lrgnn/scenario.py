@@ -130,7 +130,9 @@ class Graph:
 
     vertex_features rows are [Re h_nn | Im h_nn | w_n | sigma2_n]
     (2*Nt + 2 columns). edges are ordered (source, target) pairs in
-    lexicographic order; edge_features rows align with that order and
+    strictly increasing lexicographic order, as graph_from_edges and
+    read_dataset enforce, so sources never decrease (taped gathers by
+    source need that); edge_features rows align with that order and
     hold [Re h_in | Im h_in] of the interfering channel. Pairs outside
     the threshold carry no edge, i.e. a zero adjacency feature.
     """
@@ -253,12 +255,34 @@ def interference_edges(s: Scenario, threshold: float) -> np.ndarray:
     return np.stack([src, dst], axis=1).astype(np.intp)
 
 
+def _edge_problem(edges: np.ndarray, n: int) -> str | None:
+    """Why `edges` is not an edge list of an n-vertex interference graph
+    (indices in [0, n), no self-loops, strictly increasing in (source,
+    target)), or None if it is one."""
+    if (edges < 0).any():
+        return "has a negative edge index"
+    if (edges >= n).any():
+        return f"has an edge index >= its pair count {n}"
+    if (edges[:, 0] == edges[:, 1]).any():
+        return "has a self-loop edge"
+    key = edges[:, 0] * n + edges[:, 1]
+    step = key[1:] - key[:-1]
+    if (step <= 0).any():
+        return "has a duplicate edge" if (step == 0).any() else "has edges not sorted by (source, target)"
+    return None
+
+
 def graph_from_edges(s: Scenario, edges: np.ndarray) -> Graph:
     """The Graph of a scenario on the given (source, target) edges; its
-    vertex features carry the weights and noise powers the rates read."""
+    vertex features carry the weights and noise powers the rates read.
+    Raises ValueError on edges that interference_edges could not have
+    produced (see _edge_problem)."""
     if not (s.noise_powers > 0.0).all():
         raise ValueError("noise powers must be positive")
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    problem = _edge_problem(edges, s.n_pairs)
+    if problem:
+        raise ValueError(f"edge list {problem}")
     z = np.concatenate(
         [
             split_complex(s.channels[np.arange(s.n_pairs), np.arange(s.n_pairs), :]),
@@ -320,22 +344,6 @@ def write_dataset(samples: list[Sample], path) -> None:
             f.write(g.edges.astype("<u4").tobytes())
 
 
-def _edge_problem(edges: np.ndarray, n: int) -> str | None:
-    """Why `edges` is not an edge list of an n-vertex interference graph
-    (indices below n, no self-loops, strictly increasing in (source,
-    target)), or None if it is one."""
-    if np.any(edges >= n):
-        return f"has an edge index >= its pair count {n}"
-    if np.any(edges[:, 0] == edges[:, 1]):
-        return "has a self-loop edge"
-    step = np.diff(edges[:, 0] * n + edges[:, 1])
-    if np.any(step == 0):
-        return "has a duplicate edge"
-    if np.any(step < 0):
-        return "has edges not sorted by (source, target)"
-    return None
-
-
 def read_dataset(path) -> list[Sample]:
     """Read a dataset file back into (Scenario, Graph) samples.
 
@@ -367,9 +375,6 @@ def read_dataset(path) -> list[Sample]:
             raise DatasetFormatError(f"{path}: sample {k} claims {n_edges} edges")
         raw = r.take(8 * n_edges, f"sample {k} edges")
         edges = np.frombuffer(raw, dtype="<u4").astype(np.intp).reshape(n_edges, 2)
-        problem = _edge_problem(edges, n)
-        if problem:
-            raise DatasetFormatError(f"{path}: sample {k} {problem}")
         s = Scenario(
             tx_positions=tx,
             rx_positions=rx,
@@ -378,6 +383,10 @@ def read_dataset(path) -> list[Sample]:
             noise_powers=sigma2,
             p_max=p_max,
         )
-        samples.append(Sample(s, graph_from_edges(s, edges)))
+        try:
+            graph = graph_from_edges(s, edges)
+        except ValueError as e:  # the edge check: noise powers passed above
+            raise DatasetFormatError(f"{path}: sample {k} {e}") from e
+        samples.append(Sample(s, graph))
     r.done()
     return samples

@@ -91,7 +91,8 @@ def _union(graphs) -> tuple[Graph, np.ndarray]:
     it followed by the total vertex count.
 
     The edges of each graph are offset by the vertex count of the
-    graphs before it.
+    graphs before it, so edge sources stay non-decreasing across the
+    union, as taped gathers by source need.
     """
     offsets = np.cumsum([0] + [g.n_vertices for g in graphs])
     union = Graph(

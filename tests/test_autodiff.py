@@ -178,7 +178,8 @@ class TestStructuralOps:
 
     def test_gather_rows_accumulates_repeats(self):
         x = self.rng.normal(size=(4, 3))
-        idx = np.array([0, 2, 0, 0])
+        np.testing.assert_array_equal(gather_rows(x, np.array([0, 2, 0, 0])), x[[0, 2, 0, 0]])
+        idx = np.array([0, 0, 0, 2])  # taped: non-decreasing
         check_grad(lambda t: tsum(square(gather_rows(t, idx))), x)
         t = Tensor(x, requires_grad=True)
         tsum(gather_rows(t, idx)).backward()
@@ -195,7 +196,7 @@ class TestStructuralOps:
     def test_scatter_max_forward_and_empty_rows(self):
         msgs = np.array([[1.0, 5.0], [3.0, 2.0], [0.5, 0.5]])
         tgt = np.array([1, 1, 3])
-        out = scatter_max(msgs, tgt, 4)
+        out = scatter_max(msgs, in_slots(tgt, 4))
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
         np.testing.assert_array_equal(out[1], [3.0, 5.0])
         np.testing.assert_array_equal(out[2], [0.0, 0.0])
@@ -204,12 +205,12 @@ class TestStructuralOps:
     def test_scatter_max_gradient(self):
         msgs = np.array([[1.0, 5.0], [3.0, 2.0]])
         tgt = np.array([0, 0])
-        check_grad(lambda t: tsum(square(scatter_max(t, tgt, 1))), msgs)
+        check_grad(lambda t: tsum(square(scatter_max(t, in_slots(tgt, 1)))), msgs)
 
     def test_scatter_max_tie_goes_to_first_in_order(self):
         msgs = np.array([[2.0, 7.0], [2.0, 7.0]])
         t = Tensor(msgs, requires_grad=True)
-        tsum(scatter_max(t, np.array([0, 0]), 1)).backward()
+        tsum(scatter_max(t, in_slots(np.array([0, 0]), 1))).backward()
         np.testing.assert_array_equal(t.grad, [[1.0, 1.0], [0.0, 0.0]])
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -224,9 +225,9 @@ class TestStructuralOps:
             msgs = self.rng.normal(size=shape)
         g = self.rng.normal(size=(8, 6))
         want_out, want_grad = scatter_max_loop(msgs, tgt, 8, g)
-        np.testing.assert_array_equal(scatter_max(msgs, tgt, 8), want_out)
+        np.testing.assert_array_equal(scatter_max(msgs, in_slots(tgt, 8)), want_out)
         t = Tensor(msgs, requires_grad=True)
-        taped = scatter_max(t, tgt, 8)
+        taped = scatter_max(t, in_slots(tgt, 8))
         np.testing.assert_array_equal(taped.data, want_out)
         tsum(taped * g).backward()  # hands g back to taped exactly
         np.testing.assert_array_equal(t.grad, want_grad)
@@ -237,9 +238,9 @@ class TestStructuralOps:
         msgs = np.array([[1.0, 4.0], [3.0, 2.0], [0.5, np.nan], [2.0, np.nan], [7.0, 1.0]])
         tgt = np.array([0, 0, 0, 0, 1])
         want = np.array([[3.0, np.nan], [7.0, 1.0]])
-        np.testing.assert_array_equal(scatter_max(msgs, tgt, 2), want)
+        np.testing.assert_array_equal(scatter_max(msgs, in_slots(tgt, 2)), want)
         t = Tensor(msgs, requires_grad=True)
-        taped = scatter_max(t, tgt, 2)
+        taped = scatter_max(t, in_slots(tgt, 2))
         np.testing.assert_array_equal(taped.data, want)
         tsum(taped * np.ones((2, 2))).backward()
         np.testing.assert_array_equal(t.grad, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
@@ -247,9 +248,9 @@ class TestStructuralOps:
     def test_scatter_max_without_messages(self):
         msgs = np.empty((0, 3))
         tgt = np.empty(0, dtype=np.intp)
-        np.testing.assert_array_equal(scatter_max(msgs, tgt, 4), np.zeros((4, 3)))
+        np.testing.assert_array_equal(scatter_max(msgs, in_slots(tgt, 4)), np.zeros((4, 3)))
         t = Tensor(msgs, requires_grad=True)
-        taped = scatter_max(t, tgt, 4)
+        taped = scatter_max(t, in_slots(tgt, 4))
         np.testing.assert_array_equal(taped.data, np.zeros((4, 3)))
         tsum(taped).backward()
         np.testing.assert_array_equal(t.grad, np.zeros((0, 3)))
@@ -270,8 +271,10 @@ class TestStructuralOps:
             in_slots(np.array([0, 3]), 3)
 
     def test_gather_rows_backward_matches_loop_reference(self):
-        idx = np.array([4, 0, 4, 2, 0, 4, 1, 2])  # unsorted, repeats, row 3 unused
         x = self.rng.normal(size=(5, 3))
+        unsorted = np.array([4, 0, 4, 2, 0, 4, 1, 2])
+        np.testing.assert_array_equal(gather_rows(x, unsorted), x[unsorted])
+        idx = np.sort(unsorted)  # taped: non-decreasing, repeats, row 3 unused
         g = self.rng.normal(size=(idx.size, 3))
         np.testing.assert_array_equal(gather_rows(x, idx), x[idx])
         t = Tensor(x, requires_grad=True)
@@ -279,6 +282,13 @@ class TestStructuralOps:
         np.testing.assert_array_equal(taped.data, x[idx])
         tsum(taped * g).backward()  # hands g back to taped exactly
         np.testing.assert_allclose(t.grad, gather_rows_grad_loop(idx, 5, g), rtol=1e-12, atol=0.0)
+
+    def test_taped_gather_rows_rejects_a_decreasing_index(self):
+        x = Tensor(self.rng.normal(size=(3, 2)), requires_grad=True)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            gather_rows(x, np.array([0, 2, 1]))
+        tsum(gather_rows(x, np.empty(0, dtype=np.intp))).backward()
+        np.testing.assert_array_equal(x.grad, np.zeros((3, 2)))
 
 
 class TestBackwardContract:
@@ -347,12 +357,12 @@ class TestDispatchParity:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 6))
         w = rng.normal(size=(6, 5))
-        idx = np.array([0, 2, 2, 1])
+        idx = np.array([0, 2, 2, 3])
 
         def run(a, b):
             h = linear(a, b, np.linspace(-1.0, 1.0, 5), relu=True)
             h = sigmoid(gather_rows(h, idx))
-            h = scatter_max(h, np.array([2, 0, 2, 4]), 5)
+            h = scatter_max(h, in_slots(np.array([2, 0, 2, 4]), 5))
             n = sqrt(tsum(square(h), axis=1, keepdims=True))
             return value(h * (1.0 / maximum(n, 1.0)))
 

@@ -230,6 +230,21 @@ class TestWeightedSumRate:
         expected = 2.0 * r.rate[0] + 3.0 * r.rate[1]
         assert weighted_sum_rate(w, q, edges) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("edges, problem", [
+        ([[0, -1]], "negative edge index"),
+        ([[1, 1]], "self-loop"),
+        ([[0, 1], [0, 1]], "duplicate"),
+        ([[0, 3]], "edge index >= its pair count 3"),
+        ([[1, 0], [0, 1]], "not sorted"),
+    ], ids=["negative", "self_loop", "duplicate", "out_of_range", "unsorted"])
+    def test_edges_no_interference_graph_has_rejected(self, edges, problem):
+        # Unchecked, -1 was rated as pair 2, a self-loop as the user's own
+        # interference and a duplicate twice; pair 3 raised an IndexError.
+        s = random_sample(14).scenario
+        q = baseline_beamformers(s, "mrt")
+        with pytest.raises(ValueError, match=f"edge list has .*{problem}"):
+            weighted_sum_rate(s, q, np.array(edges))
+
 
 class TestRealRoute:
     def test_matches_complex_route(self):

@@ -277,8 +277,9 @@ def edgeless(samples):
 
 @pytest.mark.parametrize("ranks", [None, (2, 3)], ids=["dense", "low_rank"])
 def test_zero_edge_digests_frozen(ranks):
-    # Pins the bits of graphs without edges: the model skips its edge
-    # terms, and the objective's gather and scatter run on zero rows.
+    # Pins the bits of graphs without edges: the model's gathers, MLP1
+    # and scatter_max, and the objective's gather and scatter, run on
+    # zero edge rows.
     # 20 samples at N=3, Nt=4 are two all-edgeless unions.
     arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
     data = edgeless(dataset(20, seed=11, nt=4))
@@ -354,6 +355,15 @@ def test_tape_node_count_frozen(ranks):
     tensors = [Tensor(a, requires_grad=True) for a in init_params(arch, 5).flat()]
     loss = -wsr_from_real(graph, forward_real(graph, rebuild_params(arch, tensors), arch))
     assert tape_nodes(loss) == TAPE_NODES[ranks]
+
+
+def test_union_edge_sources_are_non_decreasing():
+    # Taped gathers by edge source rely on this. Pair and edge counts
+    # vary; samples 5 and 20 sit at nonzero vertex offsets without edges.
+    samples = mixed_samples(37, edgeless=(5, 20))
+    graph, offsets = _union([g for _, g in samples])
+    assert offsets[5] > 0 and offsets[20] > 0 and samples[5].graph.edges.shape[0] == 0
+    assert np.all(np.diff(graph.edges[:, 0]) >= 0)
 
 
 class TestUnionScoring:

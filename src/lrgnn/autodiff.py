@@ -12,6 +12,20 @@ accepts either a ``Tensor`` or an ``ndarray``, runs the identical numpy
 kernel on both, and records its backward closure only for a ``Tensor``,
 so taped and untaped evaluations are bit-identical.
 
+A Tensor is a value plus, when it requires gradients, a tape node: a
+gradient slot, the backward closure and the parents' nodes. The node
+does not hold the value. Each closure saves only the arrays its
+backward reads:
+- the operand values for ``*``, ``/``, ``@``, ``square``, ``log1p``
+  and ``maximum``, and a weighted ``linear``'s input; a product keeps
+  a factor only for the other factor's gradient, and only when that
+  other factor requires one
+- its own output for a ReLU ``linear``, ``sigmoid`` and ``sqrt``
+- only shapes for ``+``, ``tsum``, ``gather_rows``, ``row_slice`` and
+  ``scatter_max`` over no messages
+So an interior value is freed as soon as the forward pass drops its
+Tensor.
+
 A gradient array that a backward allocated (a product, a mask, a
 scatter) becomes its parent's gradient as it is; one passed on as a
 view (by ``+``, ``tsum``, ``.T``, ``row_slice``) is copied first.
@@ -39,25 +53,63 @@ def _consumed(g) -> None:
     raise RuntimeError("backward() through a tape that an earlier backward() already consumed")
 
 
+class _Node:
+    """A Tensor's place on the tape: its gradient slot, the closure that
+    pushes that gradient to its parents' nodes, and those nodes. The
+    closure holds only the arrays it reads, so the node does not keep
+    its Tensor's value alive."""
+
+    __slots__ = ("grad", "_backward", "_parents")
+
+    def __init__(self, backward=None, parents: tuple = ()):
+        self.grad: np.ndarray | None = None
+        self._backward = backward
+        self._parents = parents
+
+    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
+        if self.grad is None:  # adopt g if the calling backward allocated it
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
+
+
+def _node(x):
+    """The tape node of a Tensor that requires gradients, else None."""
+    return x.node if isinstance(x, Tensor) else None
+
+
 class Tensor:
-    """Array node on the gradient tape."""
+    """An array value and, when it requires gradients, its tape node."""
 
     # Make numpy defer to our reflected operators instead of looping ufuncs
     # over the object.
     __array_ufunc__ = None
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._backward = None
-        self._parents: tuple[Tensor, ...] = ()
+        self.node = _Node() if requires_grad else None
 
     @property
     def shape(self) -> tuple:
         return self.data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.node is None else self.node.grad
+
+    @property
+    def _backward(self):
+        return None if self.node is None else self.node._backward
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self.node is None else self.node._parents
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -66,18 +118,16 @@ class Tensor:
 
     @staticmethod
     def _make(data: np.ndarray, parents: tuple, backward) -> "Tensor":
+        """A Tensor of `data` whose node, if any parent requires
+        gradients, runs backward(g) and links those parents' nodes."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward
+        nodes = tuple(p.node for p in parents if p.node is not None)
+        if nodes:
+            out.node = _Node(backward, nodes)
         return out
 
     def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        if self.grad is None:  # adopt g if the calling backward allocated it
-            self.grad = g if fresh else np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        self.node._accumulate(g, fresh)
 
     def backward(self) -> None:
         """Backpropagate from this scalar tensor to every reachable parameter.
@@ -88,7 +138,7 @@ class Tensor:
         (tensors created with requires_grad=True) keep their gradients.
         A second backward() through a consumed node raises RuntimeError.
         """
-        if not self.requires_grad:
+        if self.node is None:
             raise RuntimeError(
                 "backward() on a tensor with no recorded computation; "
                 "run a forward pass over tensors that require gradients first"
@@ -96,9 +146,9 @@ class Tensor:
         if self.data.shape != ():
             raise RuntimeError("backward() needs a scalar tensor")
 
-        order: list[Tensor] = []
+        order: list[_Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -109,10 +159,10 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if id(p) not in visited:
                     stack.append((p, False))
 
-        self._accumulate(np.ones_like(self.data), fresh=True)
+        self.node._accumulate(np.ones_like(self.data), fresh=True)
         while order:
             node = order.pop()
             if node._backward is not None:
@@ -125,15 +175,15 @@ class Tensor:
 
     def __add__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data + other.data
+        na, nb, sa, sb = self.node, other.node, self.data.shape, other.data.shape
 
         def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
+            if na is not None:
+                na._accumulate(_unbroadcast(g, sa))
+            if nb is not None:
+                nb._accumulate(_unbroadcast(g, sb))
 
-        return Tensor._make(out_data, (self, other), bw)
+        return Tensor._make(self.data + other.data, (self, other), bw)
 
     def __neg__(self):
         # Multiplying by -1.0 is exact, so this is negation bit for bit.
@@ -144,31 +194,32 @@ class Tensor:
 
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data * other.data
+        na, nb, sa, sb = self.node, other.node, self.data.shape, other.data.shape
+        a = None if nb is None else self.data
+        b = None if na is None else other.data
 
         def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape), fresh=True)
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape), fresh=True)
+            if na is not None:
+                na._accumulate(_unbroadcast(g * b, sa), fresh=True)
+            if nb is not None:
+                nb._accumulate(_unbroadcast(g * a, sb), fresh=True)
 
-        return Tensor._make(out_data, (self, other), bw)
+        return Tensor._make(self.data * other.data, (self, other), bw)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data / other.data
+        na, nb, sa, sb = self.node, other.node, self.data.shape, other.data.shape
+        a, b = None if nb is None else self.data, other.data
 
         def bw(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.data.shape), fresh=True)
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape), fresh=True
-                )
+            if na is not None:
+                na._accumulate(_unbroadcast(g / b, sa), fresh=True)
+            if nb is not None:
+                nb._accumulate(_unbroadcast(-g * a / (b * b), sb), fresh=True)
 
-        return Tensor._make(out_data, (self, other), bw)
+        return Tensor._make(self.data / other.data, (self, other), bw)
 
     def __rtruediv__(self, other):
         return Tensor(other) / self
@@ -177,25 +228,25 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise ValueError("matmul supports 2-D operands only")
-        out_data = self.data @ other.data
+        na, nb = self.node, other.node
+        a = None if nb is None else self.data
+        b = None if na is None else other.data
 
         def bw(g):
-            if self.requires_grad:
-                self._accumulate(g @ other.data.T, fresh=True)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ g, fresh=True)
+            if na is not None:
+                na._accumulate(g @ b.T, fresh=True)
+            if nb is not None:
+                nb._accumulate(a.T @ g, fresh=True)
 
-        return Tensor._make(out_data, (self, other), bw)
+        return Tensor._make(self.data @ other.data, (self, other), bw)
 
     def __rmatmul__(self, other):
         return Tensor(other) @ self
 
     @property
     def T(self) -> "Tensor":
-        def bw(g):
-            self._accumulate(g.T)
-
-        return Tensor._make(self.data.T, (self,), bw)
+        node = self.node
+        return Tensor._make(self.data.T, (self,), lambda g: node._accumulate(g.T))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +256,10 @@ class Tensor:
 
 
 def linear(x, w, b, relu: bool = False):
-    """relu?(x @ w + b), or relu?(x + b) when w is None, as one node that
-    holds only its output; the ReLU's mask is read back from it (out > 0
-    exactly where the pre-activation is)."""
+    """relu?(x @ w + b), or relu?(x + b) when w is None, as one node.
+    Its closure holds the output of a ReLU layer, whose mask it reads
+    back (out > 0 exactly where the pre-activation is), the input when
+    w requires gradients and w when x does."""
     taped = isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)
     xd, wd, bd = (value(x), w if w is None else value(w), value(b)) if taped else (x, w, b)
     out = xd + bd if wd is None else xd @ wd
@@ -219,16 +271,20 @@ def linear(x, w, b, relu: bool = False):
         return out
     if wd is not None and (xd.ndim != 2 or wd.ndim != 2):
         raise ValueError("matmul supports 2-D operands only")
+    nx, nw, nb, b_shape = _node(x), _node(w), _node(b), bd.shape
+    mask_of = out if relu else None
+    xd = None if nw is None else xd
+    wd = None if nx is None else wd
 
     def bw(g):
-        if relu:
-            g = g * (out > 0.0)
-        if isinstance(b, Tensor) and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape), fresh=g.shape != b.data.shape)
-        if isinstance(x, Tensor) and x.requires_grad:
-            x._accumulate(g if wd is None else g @ wd.T, fresh=relu or wd is not None)
-        if isinstance(w, Tensor) and w.requires_grad:
-            w._accumulate(xd.T @ g, fresh=True)
+        if mask_of is not None:
+            g = g * (mask_of > 0.0)
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, b_shape), fresh=g.shape != b_shape)
+        if nx is not None:
+            nx._accumulate(g if wd is None else g @ wd.T, fresh=relu or wd is not None)
+        if nw is not None:
+            nw._accumulate(xd.T @ g, fresh=True)
 
     return Tensor._make(out, tuple(t for t in (x, w, b) if isinstance(t, Tensor)), bw)
 
@@ -246,78 +302,61 @@ def sigmoid(x):
     np.divide(1.0, s, out=s)
     if not isinstance(x, Tensor):
         return s
-
-    def bw(g):
-        x._accumulate(g * s * (1.0 - s), fresh=True)
-
-    return Tensor._make(s, (x,), bw)
+    node = x.node
+    return Tensor._make(s, (x,), lambda g: node._accumulate(g * s * (1.0 - s), fresh=True))
 
 
 def log1p(x):
     if not isinstance(x, Tensor):
         return np.log1p(x)
-
-    def bw(g):
-        x._accumulate(g / (1.0 + x.data), fresh=True)
-
-    return Tensor._make(np.log1p(x.data), (x,), bw)
+    node, xd = x.node, x.data
+    return Tensor._make(np.log1p(xd), (x,), lambda g: node._accumulate(g / (1.0 + xd), fresh=True))
 
 
 def sqrt(x):
     if not isinstance(x, Tensor):
         return np.sqrt(x)
-    root = np.sqrt(x.data)
-
-    def bw(g):
-        x._accumulate(g * (0.5 / root), fresh=True)
-
-    return Tensor._make(root, (x,), bw)
+    node, root = x.node, np.sqrt(x.data)
+    return Tensor._make(root, (x,), lambda g: node._accumulate(g * (0.5 / root), fresh=True))
 
 
 def square(x):
     if not isinstance(x, Tensor):
         return x * x
-
-    def bw(g):
-        x._accumulate(g * (2.0 * x.data), fresh=True)
-
-    return Tensor._make(x.data * x.data, (x,), bw)
+    node, xd = x.node, x.data
+    return Tensor._make(xd * xd, (x,), lambda g: node._accumulate(g * (2.0 * xd), fresh=True))
 
 
 def tsum(x, axis=None, keepdims: bool = False):
     # np.add.reduce is np.sum without its Python wrapper; same kernel.
     if not isinstance(x, Tensor):
         return np.add.reduce(x, axis=axis, keepdims=keepdims)
+    node, shape = x.node, x.data.shape
 
     def bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        x._accumulate(np.broadcast_to(g, x.data.shape))
+        node._accumulate(np.broadcast_to(g, shape))
 
     return Tensor._make(np.add.reduce(x.data, axis=axis, keepdims=keepdims), (x,), bw)
 
 
 def row_dot(h: np.ndarray, x):
     """Per-row dot products of a constant array h with x; the node holds
-    no (rows, width) product."""
+    h and no (rows, width) product."""
     if not isinstance(x, Tensor):
         return np.add.reduce(h * x, axis=1)
-
-    def bw(g):
-        x._accumulate(g[:, None] * h, fresh=True)
-
-    return Tensor._make(np.add.reduce(h * x.data, axis=1), (x,), bw)
+    node = x.node
+    return Tensor._make(np.add.reduce(h * x.data, axis=1), (x,),
+                        lambda g: node._accumulate(g[:, None] * h, fresh=True))
 
 
 def maximum(x, floor: float):
     """Elementwise max of `x` and a constant; ties route the gradient to x."""
     if not isinstance(x, Tensor):
         return np.maximum(x, floor)
-
-    def bw(g):
-        x._accumulate(g * (x.data >= floor), fresh=True)
-
-    return Tensor._make(np.maximum(x.data, floor), (x,), bw)
+    node, xd = x.node, x.data
+    return Tensor._make(np.maximum(xd, floor), (x,), lambda g: node._accumulate(g * (xd >= floor), fresh=True))
 
 
 def row_slice(x, start: int, stop: int):
@@ -325,11 +364,12 @@ def row_slice(x, start: int, stop: int):
     is added into those rows only."""
     if not isinstance(x, Tensor):
         return x[start:stop]
+    node, shape = x.node, x.data.shape
 
     def bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[start:stop] += g
+        if node.grad is None:
+            node.grad = np.zeros(shape)
+        node.grad[start:stop] += g
 
     return Tensor._make(x.data[start:stop], (x,), bw)
 
@@ -346,11 +386,12 @@ def gather_rows(x, idx: np.ndarray):
     if (step < 0).any():
         raise ValueError("gather_rows on the tape needs non-decreasing indices")
     starts = np.flatnonzero(step)
+    node, shape = x.node, x.data.shape
 
     def bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         gx[idx[starts]] = np.add.reduceat(g, starts, axis=0)
-        x._accumulate(gx, fresh=True)
+        node._accumulate(gx, fresh=True)
 
     return Tensor._make(x.data[idx], (x,), bw)
 
@@ -398,8 +439,8 @@ def scatter_max(messages, groups: tuple):
     if not n_slots:  # no messages: every row is empty
         out_data = np.zeros((n_rows, msg_data.shape[1]))
         if is_tensor:
-            return Tensor._make(out_data, (messages,),
-                                lambda g: messages._accumulate(np.zeros_like(msg_data), fresh=True))
+            node, shape = messages.node, msg_data.shape
+            return Tensor._make(out_data, (messages,), lambda g: node._accumulate(np.zeros(shape), fresh=True))
         return out_data
     gathered = msg_data[slots]
     out_data = np.maximum.reduce(gathered, axis=1)
@@ -420,10 +461,12 @@ def scatter_max(messages, groups: tuple):
     if not is_tensor:
         return out_data
 
+    node, shape = messages.node, msg_data.shape
+
     def bw(g):
-        gm = np.zeros_like(msg_data)
-        gm[winners, np.arange(msg_data.shape[1])] = g[rows]
-        messages._accumulate(gm, fresh=True)
+        gm = np.zeros(shape)
+        gm[winners, np.arange(shape[1])] = g[rows]
+        node._accumulate(gm, fresh=True)
 
     return Tensor._make(out_data, (messages,), bw)
 
@@ -438,10 +481,8 @@ def scatter_sum(values, targets: np.ndarray, n_rows: int):
     if not is_tensor:
         return out_data
 
-    def bw(g):
-        values._accumulate(g[targets], fresh=True)
-
-    return Tensor._make(out_data, (values,), bw)
+    node = values.node
+    return Tensor._make(out_data, (values,), lambda g: node._accumulate(g[targets], fresh=True))
 
 
 def value(x) -> np.ndarray:

@@ -264,16 +264,30 @@ def forward(graph: Graph, params: MpgnnParams, arch: MpgnnArch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _stored(a) -> np.ndarray:
+    """A weight array as a model file stores it: f32, where a value past
+    f32's range becomes inf, for save_model to refuse."""
+    with np.errstate(over="ignore"):
+        return value(a).astype("<f4")
+
+
 def save_model(path, arch: MpgnnArch, params: MpgnnParams) -> None:
+    """Write a model file. Raises ValueError, before the file is opened,
+    on a weight that is not finite as f32, which load_model refuses."""
     ranks = arch.ranks or (0, 0)
+    layers = params.mlp1.layers + params.mlp2.layers
+    for k, layer in enumerate(layers):
+        for name, a in zip(layer_shapes(layer.d_in, layer.d_out, layer.rank), layer.params()):
+            if not np.isfinite(_stored(a)).all():
+                raise ValueError(f"non-finite value in layer {k} {name} as f32")
     with open(path, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<IIIII", MODEL_VERSION, arch.ranks is not None, arch.n_tx_antennas, *ranks))
         f.write(struct.pack("<dI", arch.p_max, arch.n_rounds))
-        for layer in params.mlp1.layers + params.mlp2.layers:
+        for layer in layers:
             f.write(struct.pack("<III", layer.d_in, layer.d_out, layer.rank or 0))
             for a in layer.params():
-                f.write(value(a).astype("<f4").tobytes())
+                f.write(_stored(a).tobytes())
 
 
 def load_model(path) -> tuple[MpgnnArch, MpgnnParams]:

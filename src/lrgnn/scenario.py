@@ -272,17 +272,25 @@ def _edge_problem(edges: np.ndarray, n: int) -> str | None:
     return None
 
 
+def _graph_problem(noise_powers: np.ndarray, edges: np.ndarray, n: int) -> str | None:
+    """Why a scenario of n pairs with these noise powers has no Graph on
+    `edges` (a noise power <= 0, or an edge list _edge_problem rejects),
+    or None if it has one."""
+    if not (noise_powers > 0.0).all():
+        return "has a noise power <= 0"
+    problem = _edge_problem(edges, n)
+    return problem and f"edge list {problem}"
+
+
 def graph_from_edges(s: Scenario, edges: np.ndarray) -> Graph:
     """The Graph of a scenario on the given (source, target) edges; its
     vertex features carry the weights and noise powers the rates read.
-    Raises ValueError on edges that interference_edges could not have
-    produced (see _edge_problem)."""
-    if not (s.noise_powers > 0.0).all():
-        raise ValueError("noise powers must be positive")
+    Raises ValueError on a noise power <= 0 or on edges that
+    interference_edges could not have produced (see _edge_problem)."""
     edges = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    problem = _edge_problem(edges, s.n_pairs)
+    problem = _graph_problem(s.noise_powers, edges, s.n_pairs)
     if problem:
-        raise ValueError(f"edge list {problem}")
+        raise ValueError(problem)
     z = np.concatenate(
         [
             split_complex(s.channels[np.arange(s.n_pairs), np.arange(s.n_pairs), :]),
@@ -318,7 +326,23 @@ def generate_dataset(cfg: ScenarioConfig, n_samples: int, first_index: int = 0) 
 # ---------------------------------------------------------------------------
 
 
+_STORED_FIELDS = ("TX positions", "RX positions", "channels", "weights", "noise powers")
+
+
+def _stored_floats(s: Scenario) -> np.ndarray:
+    """The floats of s as a dataset file stores them: one f32 block of
+    the _STORED_FIELDS in order, channels as (Re, Im) pairs. A value
+    past f32's range becomes inf, for write_dataset to refuse."""
+    h_pairs = np.ascontiguousarray(s.channels, dtype=np.complex128).view(np.float64)
+    fields = (s.tx_positions, s.rx_positions, h_pairs, s.weights, s.noise_powers)
+    with np.errstate(over="ignore"):
+        return np.concatenate([a.ravel() for a in fields], dtype="<f4", casting="same_kind")
+
+
 def write_dataset(samples: list[Sample], path) -> None:
+    """Write samples to a dataset file. Before the file is opened, raises
+    ValueError on a sample read_dataset would refuse: one whose floats,
+    rounded to f32, are not finite, or that graph_from_edges refuses."""
     if not samples:
         raise ValueError("refusing to write an empty dataset")
     n = samples[0].scenario.n_pairs
@@ -329,17 +353,22 @@ def write_dataset(samples: list[Sample], path) -> None:
             raise ValueError(f"sample {k} has shape ({s.n_pairs}, {s.n_tx_antennas}), expected ({n}, {nt})")
         if s.p_max != p_max:
             raise ValueError(f"sample {k} has p_max {s.p_max}, expected {p_max}")
+        block = _stored_floats(s)
+        if not np.isfinite(block).all():
+            fields = np.split(block, np.cumsum([2 * n, 2 * n, 2 * n * n * nt, n]))
+            what = next(w for w, a in zip(_STORED_FIELDS, fields) if not np.isfinite(a).all())
+            raise ValueError(f"non-finite value in sample {k} {what} as f32")
+        problem = _graph_problem(block[-n:], g.edges, n)
+        if problem:
+            raise ValueError(f"sample {k} {problem}")
 
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(struct.pack("<IIIId", DATASET_VERSION, len(samples), n, nt, p_max))
         for s, g in samples:
-            f.write(s.tx_positions.astype("<f4").tobytes())
-            f.write(s.rx_positions.astype("<f4").tobytes())
-            h_pairs = np.stack([s.channels.real, s.channels.imag], axis=-1)
-            f.write(h_pairs.astype("<f4").tobytes())
-            f.write(s.weights.astype("<f4").tobytes())
-            f.write(s.noise_powers.astype("<f4").tobytes())
+            # Cast again rather than kept from the check: holding every
+            # block raised gen-data's peak RSS by the dataset's f32 size.
+            f.write(_stored_floats(s))
             f.write(struct.pack("<I", g.edges.shape[0]))
             f.write(g.edges.astype("<u4").tobytes())
 
@@ -368,8 +397,6 @@ def read_dataset(path) -> list[Sample]:
         h = h_pairs.view(np.complex128)[..., 0]  # keeps the sign of a zero part
         w = r.f32(n, f"sample {k} weights")
         sigma2 = r.f32(n, f"sample {k} noise powers")
-        if np.any(sigma2 <= 0.0):
-            raise DatasetFormatError(f"{path}: sample {k} has a noise power <= 0")
         n_edges = r.u32(f"sample {k} edge count")
         if n_edges > n * n:
             raise DatasetFormatError(f"{path}: sample {k} claims {n_edges} edges")
@@ -385,7 +412,7 @@ def read_dataset(path) -> list[Sample]:
         )
         try:
             graph = graph_from_edges(s, edges)
-        except ValueError as e:  # the edge check: noise powers passed above
+        except ValueError as e:  # _graph_problem, as write_dataset runs it
             raise DatasetFormatError(f"{path}: sample {k} {e}") from e
         samples.append(Sample(s, graph))
     r.done()

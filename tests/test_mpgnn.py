@@ -411,6 +411,17 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="non-finite value in layer 0 W"):
             load_model(p)
 
+    @pytest.mark.parametrize("entry", [1e39, -1e39, math.inf, math.nan])
+    def test_save_refuses_a_weight_load_refuses(self, tmp_path, entry):
+        # 1e39 was written as inf, with an overflow warning.
+        arch = MpgnnArch(n_tx_antennas=2)
+        params = init_params(arch, 0)
+        params.mlp2.layers[1].bias[3] = entry
+        p = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="non-finite value in layer 3 bias as f32"):
+            save_model(p, arch, params)
+        assert not p.exists()
+
     def test_layer_header_mismatch(self, tmp_path):
         arch = MpgnnArch(n_tx_antennas=2)
         p = tmp_path / "m.bin"

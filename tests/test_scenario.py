@@ -330,6 +330,17 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError, match="trailing"):
             read_dataset(p)
 
+    @staticmethod
+    def two_edge_file(tmp_path):
+        """A valid 3-pair file whose last sample, sample 1, has the two
+        edges (0, 1) and (0, 2): its noise powers (12 bytes), edge count
+        (4) and edges (16) end the file."""
+        good = generate_dataset(small_cfg(n_pairs=3), 2)
+        s = good[1].scenario
+        p = tmp_path / "d.bin"
+        write_dataset([good[0], Sample(s, graph_from_edges(s, np.array([[0, 1], [0, 2]])))], p)
+        return p
+
     @pytest.mark.parametrize("edges, problem", [
         ([[0, 1], [2, 7]], "edge index"),
         ([[0, 1], [1, 1]], "self-loop"),
@@ -337,12 +348,8 @@ class TestDatasetFiles:
         ([[1, 0], [0, 2]], "not sorted"),
     ], ids=["out_of_range", "self_loop", "duplicate", "unsorted"])
     def test_bad_edges_reported(self, tmp_path, edges, problem):
-        good = generate_dataset(small_cfg(n_pairs=3), 2)
-        s, g = good[1]
-        bad = np.array(edges, dtype=np.intp)
-        graph = Graph(g.vertex_features, bad, np.zeros((bad.shape[0], g.edge_features.shape[1])))
-        p = tmp_path / "e.bin"
-        write_dataset([good[0], Sample(s, graph)], p)
+        p = self.two_edge_file(tmp_path)
+        p.write_bytes(p.read_bytes()[:-16] + np.array(edges, dtype="<u4").tobytes())
         with pytest.raises(DatasetFormatError, match=f"sample 1 .*{problem}"):
             read_dataset(p)
 
@@ -359,13 +366,39 @@ class TestDatasetFiles:
 
     @pytest.mark.parametrize("noise", [0.0, -1.0])
     def test_nonpositive_noise_reported(self, tmp_path, noise):
-        good = generate_dataset(small_cfg(n_pairs=3), 2)
-        s, g = good[1]
-        bad = Sample(dataclasses.replace(s, noise_powers=np.array([0.1, noise, 0.1])), g)
-        p = tmp_path / "n.bin"
-        write_dataset([good[0], bad], p)
+        p = self.two_edge_file(tmp_path)
+        raw = bytearray(p.read_bytes())
+        at = len(raw) - 16 - 4 - 8  # sample 1's second noise power
+        raw[at:at + 4] = struct.pack("<f", noise)
+        p.write_bytes(bytes(raw))
         with pytest.raises(DatasetFormatError, match="sample 1 has a noise power <= 0"):
             read_dataset(p)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda s: {"noise_powers": np.array([0.1, 1e-46, 0.1])}, "sample 1 has a noise power <= 0"),
+        (lambda s: {"channels": s.channels * 1e39}, "non-finite value in sample 1 channels as f32"),
+        (lambda s: {"rx_positions": s.rx_positions + 1e39}, "non-finite value in sample 1 RX positions as f32"),
+    ], ids=["noise_zero_in_f32", "channels_past_f32", "positions_past_f32"])
+    def test_writer_refuses_what_f32_makes_unreadable(self, tmp_path, change, message):
+        # Finite in float64, these read back as 0 or inf, which
+        # read_dataset refuses; the writer refuses them before the
+        # file exists, without an overflow warning.
+        good = generate_dataset(small_cfg(n_pairs=3), 2)
+        s, g = good[1]
+        p = tmp_path / "w.bin"
+        with pytest.raises(ValueError, match=message):
+            write_dataset([good[0], Sample(dataclasses.replace(s, **change(s)), g)], p)
+        assert not p.exists()
+
+    def test_writer_refuses_an_edge_list_the_reader_refuses(self, tmp_path):
+        # A negative index was written as 4294967295.
+        good = generate_dataset(small_cfg(n_pairs=3), 1)
+        s, g = good[0]
+        bad = Graph(g.vertex_features, np.array([[0, -1]]), np.zeros((1, g.edge_features.shape[1])))
+        p = tmp_path / "e.bin"
+        with pytest.raises(ValueError, match="sample 0 edge list has a negative edge index"):
+            write_dataset([Sample(s, bad)], p)
+        assert not p.exists()
 
     def test_graph_rebuilt_from_stored_edges(self, tmp_path):
         # read_dataset must not re-threshold: edges come from the file.

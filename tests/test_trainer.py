@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,6 +356,36 @@ def test_tape_node_count_frozen(ranks):
     tensors = [Tensor(a, requires_grad=True) for a in init_params(arch, 5).flat()]
     loss = -wsr_from_real(graph, forward_real(graph, rebuild_params(arch, tensors), arch))
     assert tape_nodes(loss) == TAPE_NODES[ranks]
+
+
+# Bytes a union's tape holds between forward and backward (tracemalloc,
+# after forward_real plus wsr_from_real): 16 samples at N=10, Nt=4, every
+# pair interfering (1,440 edges). Measured 7,106,096 dense and 8,243,424
+# for LR(16,4); about 2 % above that is allowed for allocator and
+# interpreter variation.
+TAPE_BYTES = {None: 7_250_000, (16, 4): 8_410_000}
+
+
+@pytest.mark.parametrize("ranks", [None, (16, 4)], ids=["dense", "low_rank"])
+def test_tape_bytes_bounded(ranks):
+    # A node that keeps an array its backward does not read shows up here.
+    arch = MpgnnArch(4) if ranks is None else MpgnnArch(4, "low_rank", *ranks)
+    cfg = ScenarioConfig(n_pairs=10, n_tx_antennas=4, edge_threshold=1e6, seed=0)
+    graph, _ = _union([s.graph for s in generate_dataset(cfg, 16)])
+    assert graph.edges.shape[0] == 16 * 90
+    params = rebuild_params(arch, [Tensor(a, requires_grad=True) for a in init_params(arch, 0).flat()])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = wsr_from_real(graph, forward_real(graph, params, arch))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert loss.requires_grad
+    assert held <= TAPE_BYTES[ranks]
 
 
 def test_union_edge_sources_are_non_decreasing():

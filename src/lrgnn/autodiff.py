@@ -21,8 +21,8 @@ backward reads:
   a factor only for the other factor's gradient, and only when that
   other factor requires one
 - its own output for a ReLU ``linear``, ``sigmoid`` and ``sqrt``
-- only shapes for ``+``, ``tsum``, ``gather_rows``, ``row_slice`` and
-  ``scatter_max`` over no messages
+- only shapes for ``+``, ``tsum``, ``gather_rows`` and ``row_slice``
+- its winners for ``scatter_max``, none over no messages
 So an interior value is freed as soon as the forward pass drops its
 Tensor.
 
@@ -103,14 +103,6 @@ class Tensor:
     def grad(self) -> np.ndarray | None:
         return None if self.node is None else self.node.grad
 
-    @property
-    def _backward(self):
-        return None if self.node is None else self.node._backward
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self.node is None else self.node._parents
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -125,9 +117,6 @@ class Tensor:
         if nodes:
             out.node = _Node(backward, nodes)
         return out
-
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        self.node._accumulate(g, fresh)
 
     def backward(self) -> None:
         """Backpropagate from this scalar tensor to every reachable parameter.
@@ -436,26 +425,23 @@ def scatter_max(messages, groups: tuple):
     msg_data = messages.data if is_tensor else messages
     slots, empty = groups
     n_rows, n_slots = slots.shape
-    if not n_slots:  # no messages: every row is empty
-        out_data = np.zeros((n_rows, msg_data.shape[1]))
-        if is_tensor:
-            node, shape = messages.node, msg_data.shape
-            return Tensor._make(out_data, (messages,), lambda g: node._accumulate(np.zeros(shape), fresh=True))
-        return out_data
     gathered = msg_data[slots]
-    out_data = np.maximum.reduce(gathered, axis=1)
+    # -inf starts each row's max, so a table without slots (no
+    # messages) reduces to -inf rows, which the empty mask zeroes.
+    out_data = np.maximum.reduce(gathered, axis=1, initial=-np.inf)
     if is_tensor:
         # Per row and coordinate, the first slot that holds the maximum
         # wins: the first maximal message in list order. A NaN counts as
         # maximal, as in argmax. Slot j scores n_slots - j where it hits,
-        # so the best score marks the first hit; every row has one.
+        # so the best score marks the first hit; every non-empty row has
+        # one.
         hit = gathered == out_data[:, None]
         if np.isnan(out_data).any():
             hit |= np.isnan(gathered)
         score = hit * np.arange(n_slots, 0, -1, dtype=np.min_scalar_type(n_slots))[:, None]
-        first = n_slots - np.maximum.reduce(score, axis=1)
+        first = n_slots - np.maximum.reduce(score, axis=1, initial=0)
         rows = slice(None) if empty is None else ~empty
-        winners = slots[np.arange(n_rows)[:, None], first][rows]
+        winners = slots[np.arange(n_rows)[rows, None], first[rows]]
     if empty is not None:
         out_data[empty] = 0.0
     if not is_tensor:

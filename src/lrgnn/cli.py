@@ -10,7 +10,7 @@ differs from its model's or reference's. Every command that writes
 files also writes a JSON echo of its settings, so a run can be
 reproduced from its output directory; outputs carry no timestamps,
 making same-seed runs byte-identical. Exit codes: 0 success, 1 runtime
-failure, 2 usage error.
+failure, 2 usage error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -324,9 +324,12 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, FormatError, FloatingPointError, MemoryError) as e:
+    except (ValueError, OSError, FormatError, ArithmeticError, MemoryError) as e:
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -59,22 +59,22 @@ class ReductionGrid:
     size_ratios: np.ndarray
 
 
-def size_ratio_table(nt: int, a1_values=TABLE_A1, a2_values=TABLE_A2) -> ReductionGrid:
-    """Dense/low-rank parameter ratios over the rank grid.
+def size_ratio_table(nt: int) -> ReductionGrid:
+    """Dense/low-rank parameter ratios over the rank grid TABLE_A1 x TABLE_A2.
 
     Ratios come from counting the layer shapes, reduction fractions
     from the closed form reduction_fraction; the two agree through
     p = 1 - 1/ratio, which the acceptance tests check over this grid.
     """
     dense = param_counts(nt, None, include_bias=False).total
-    p = np.zeros((len(a1_values), len(a2_values)))
+    p = np.zeros((len(TABLE_A1), len(TABLE_A2)))
     ratio = np.zeros_like(p)
-    for i, a1 in enumerate(a1_values):
-        for j, a2 in enumerate(a2_values):
+    for i, a1 in enumerate(TABLE_A1):
+        for j, a2 in enumerate(TABLE_A2):
             lr = param_counts(nt, (a1, a2), include_bias=False).total
             ratio[i, j] = dense / lr
             p[i, j] = reduction_fraction(nt, a1, a2)
-    return ReductionGrid(nt, tuple(a1_values), tuple(a2_values), p, ratio)
+    return ReductionGrid(nt, TABLE_A1, TABLE_A2, p, ratio)
 
 
 # ---------------------------------------------------------------------------

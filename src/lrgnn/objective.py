@@ -94,11 +94,9 @@ def weighted_sum_rate(s: Scenario, q: np.ndarray, edges) -> float:
 
 def baseline_beamformers(s: Scenario, kind: str, seed: int = 0) -> np.ndarray:
     """Reference beamformers: matched filtering toward the own receiver
-    ("mrt"), uniform on the power sphere ("random"), or all zeros."""
+    ("mrt") or uniform on the power sphere ("random")."""
     n, nt = s.n_pairs, s.n_tx_antennas
     root_p = np.sqrt(s.p_max)
-    if kind == "zero":
-        return np.zeros((n, nt), dtype=np.complex128)
     if kind == "mrt":
         diag = s.channels[np.arange(n), np.arange(n), :]
         norms = np.linalg.norm(diag, axis=1, keepdims=True)

@@ -15,6 +15,12 @@ gives bit-identical results.
 Evaluation scores a dataset in unions too: one plain forward pass (no
 tape) and one rate_report per union; a sample's rate sums its
 vertices' weighted rates. Both loops read the rates from a union Graph.
+
+One float-error fence covers train from the untrained model's scoring
+to the last epoch's checkpoint selection: the first op that overflows,
+divides by zero or makes a NaN raises FloatingPointError, prefixed with
+its phase, "epoch E, batch B" or "epoch E, checkpoint" (epoch 0 is the
+untrained model; an epoch's mean loss belongs to its checkpoint).
 """
 
 from __future__ import annotations
@@ -151,16 +157,11 @@ def evaluate(arch: MpgnnArch, params: MpgnnParams, samples) -> float:
     return float(np.mean(sample_rates(arch, params, samples)))
 
 
-def _checkpoint(arch: MpgnnArch, arrays: list, test_set, epoch: int):
+def _checkpoint(arch: MpgnnArch, arrays: list, test_set):
     """An epoch's checkpoint candidate, rounded through f32 as its saved
-    file holds it, and its test sum rate (nan without a test set). An
-    overflow or NaN raises, as in the batches."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            candidate = [_snap_f32(a) for a in arrays]
-            rate = evaluate(arch, rebuild_params(arch, candidate), test_set) if test_set else float("nan")
-    except FloatingPointError as err:
-        raise FloatingPointError(f"epoch {epoch}, checkpoint: {err}") from None
+    file holds it, and its test sum rate (nan without a test set)."""
+    candidate = [_snap_f32(a) for a in arrays]
+    rate = evaluate(arch, rebuild_params(arch, candidate), test_set) if test_set else float("nan")
     return candidate, rate
 
 
@@ -175,9 +176,6 @@ def train(train_set, cfg: TrainConfig, test_set=None):
     """
     if not train_set:
         raise ValueError("empty training set")
-    nt = train_set[0].scenario.n_tx_antennas
-    if nt != cfg.arch.n_tx_antennas:
-        raise ValueError(f"dataset carries Nt={nt}, arch expects {cfg.arch.n_tx_antennas}")
 
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -185,36 +183,37 @@ def train(train_set, cfg: TrainConfig, test_set=None):
     adam = Adam(lr=cfg.lr)
     report = TrainReport()
 
-    # Epoch 0 (untrained) is a checkpoint candidate when there is a test set.
-    best_arrays, report.initial_test_sum_rate = _checkpoint(cfg.arch, arrays, test_set, 0)
-    best_epoch = 0
-    best_score = report.initial_test_sum_rate if test_set else float("-inf")
+    # An op that overflows or makes a NaN raises; NaN inputs meet the loss check.
+    phase = "epoch 0, checkpoint"
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # Epoch 0 (untrained) is a checkpoint candidate when there is a test set.
+            best_arrays, report.initial_test_sum_rate = _checkpoint(cfg.arch, arrays, test_set)
+            best_epoch = 0
+            best_score = report.initial_test_sum_rate if test_set else float("-inf")
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_set))
-        epoch_losses = []
-        for bi in range(0, len(order), cfg.batch_size):
-            batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
-            # An op that overflows or makes a NaN raises; NaN inputs meet the loss check.
-            try:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for epoch in range(1, cfg.epochs + 1):
+                order = rng.permutation(len(train_set))
+                epoch_losses = []
+                for bi in range(0, len(order), cfg.batch_size):
+                    phase = f"epoch {epoch}, batch {bi // cfg.batch_size}"
+                    batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
                     batch_loss, totals = _batch_grad(cfg.arch, arrays, batch)
                     batch_loss /= len(batch)
                     if not np.isfinite(batch_loss):
                         raise FloatingPointError("non-finite loss")
                     adam.step(arrays, [t / len(batch) for t in totals])
-            except FloatingPointError as err:
-                raise FloatingPointError(
-                    f"epoch {epoch}, batch {bi // cfg.batch_size}: {err}"
-                ) from None
-            epoch_losses.append(batch_loss)
-        report.train_loss.append(float(np.mean(epoch_losses)))
+                    epoch_losses.append(batch_loss)
 
-        candidate, rate = _checkpoint(cfg.arch, arrays, test_set, epoch)
-        report.test_sum_rate.append(rate)
-        score = rate if test_set else -report.train_loss[-1]
-        if score > best_score:
-            best_score, best_epoch, best_arrays = score, epoch, candidate
+                phase = f"epoch {epoch}, checkpoint"
+                report.train_loss.append(float(np.mean(epoch_losses)))
+                candidate, rate = _checkpoint(cfg.arch, arrays, test_set)
+                report.test_sum_rate.append(rate)
+                score = rate if test_set else -report.train_loss[-1]
+                if score > best_score:
+                    best_score, best_epoch, best_arrays = score, epoch, candidate
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{phase}: {err}") from None
 
     final = rebuild_params(cfg.arch, best_arrays)
     report.best_epoch = best_epoch

@@ -380,7 +380,7 @@ class TestDispatchParity:
 def relu_node(x):
     """The ReLU as a node of its own, with its mask read from its input:
     the tape before linear fused it."""
-    return Tensor._make(np.maximum(x.data, 0.0), (x,), lambda g: x._accumulate(g * (x.data > 0.0)))
+    return Tensor._make(np.maximum(x.data, 0.0), (x,), lambda g: x.node._accumulate(g * (x.data > 0.0)))
 
 
 class TestFusedNodes:

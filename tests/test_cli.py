@@ -485,6 +485,14 @@ class TestAnalyze:
         # Default grid is Nt=512; spot-check the (4, 4) cell.
         assert float(rows[1][1]) == pytest.approx(0.9835600907029478, rel=1e-12)
 
+    def test_float_overflow_is_one_line_error(self, tmp_path, capsys):
+        # argparse takes a 401-digit int; the closed form cannot make it a float.
+        out = tmp_path / "A"
+        rc = main(["analyze", "--mode", "size-table", "--nt", "1" + "0" * 400, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: int too large to convert to float\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["size-table", "p-heatmap"])
     def test_grids_of_two_antenna_counts_keep_separate_csvs(self, tmp_path, mode):
         for nt in (8, 16):
@@ -639,6 +647,20 @@ class TestFailureLeavesNoOutDir:
         kept.mkdir()
         assert main([*train, "--out", str(kept)]) == 1
         assert kept.is_dir()
+
+    def test_train_interrupted(self, data_dir, tmp_path, capsys, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("lrgnn.trainer.train", interrupt)
+        out = tmp_path / "T"
+        try:
+            rc = main(["train", "--data", str(data_dir), "--out", str(out)])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert rc == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -93,11 +93,12 @@ class TestSizeRatioTable:
         assert np.all(np.diff(grid.size_ratios, axis=0) < 0)
         assert np.all(np.diff(grid.size_ratios, axis=1) < 0)
 
-    def test_custom_grid(self):
-        grid = size_ratio_table(16, a1_values=(2,), a2_values=(2, 4))
-        assert grid.size_ratios.shape == (1, 2)
-        dense, lr = (param_counts(16, ranks, include_bias=False).total for ranks in (None, (2, 2)))
-        assert grid.size_ratios[0, 0] == dense / lr
+    def test_every_cell_is_its_layer_count(self):
+        grid = size_ratio_table(16)
+        dense = param_counts(16, None, include_bias=False).total
+        for i, a1 in enumerate(TABLE_A1):
+            for j, a2 in enumerate(TABLE_A2):
+                assert grid.size_ratios[i, j] == dense / param_counts(16, (a1, a2), include_bias=False).total
 
 
 class TestWeightHistogram:
@@ -320,12 +321,12 @@ class TestDiskAndCsv:
         np.testing.assert_array_equal(parsed, grid.size_ratios)
 
     def test_p_heatmap_csv(self, tmp_path):
-        grid = size_ratio_table(16, a1_values=(2, 3), a2_values=(2,))
+        grid = size_ratio_table(16)
         path = tmp_path / "p.csv"
         write_grid(grid, grid.p_values, path)
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
-        assert len(rows) == 3
+        assert len(rows) == 1 + len(TABLE_A1)
         assert float(rows[1][1]) == grid.p_values[0, 0]
 
     def test_histogram_csv_layout(self, tmp_path):

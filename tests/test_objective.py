@@ -337,8 +337,7 @@ class TestBaselines:
 
     def test_zero_gives_zero_rate(self):
         sample = random_sample(8)
-        q = baseline_beamformers(sample.scenario, "zero")
-        np.testing.assert_array_equal(q, np.zeros_like(q))
+        q = np.zeros((sample.scenario.n_pairs, sample.scenario.n_tx_antennas), complex)
         assert weighted_sum_rate(sample.scenario, q, sample.graph.edges) == 0.0
 
     def test_mrt_beats_random_on_average(self):

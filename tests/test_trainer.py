@@ -1,6 +1,7 @@
 """Training loop: checkpoint selection, determinism, abort and report contracts."""
 
 import csv
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -131,9 +132,12 @@ class TestTrainBasics:
             train([], cfg)
 
     def test_nt_mismatch(self):
-        cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=4))
-        with pytest.raises(ValueError, match="Nt"):
-            train(dataset(4, nt=2), cfg)
+        # The model's own check names both counts, whether the untrained
+        # scoring of a test set or the first batch meets it first.
+        cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=8))
+        for test_set in (None, dataset(2, seed=1, nt=4)):
+            with pytest.raises(ValueError, match="Nt=4.*8"):
+                train(dataset(4, nt=4), cfg, test_set)
 
     def test_non_finite_loss_reports_batch(self):
         data = dataset(6, seed=10)
@@ -166,6 +170,16 @@ class TestTrainBasics:
         cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=2), lr=1e39, epochs=1, batch_size=4, seed=0)
         test = dataset(2, seed=11) if with_test_set else None
         with pytest.raises(FloatingPointError, match=r"^epoch 1, checkpoint: overflow encountered in cast$"):
+            train(dataset(4, seed=10), cfg, test)
+
+    def test_untrained_scoring_overflow_reports_epoch_0(self):
+        # Channels of ~1e200 overflow the first forward pass over the test set.
+        test = []
+        for s, g in dataset(2, seed=11):
+            loud = dataclasses.replace(s, channels=s.channels * 1e200)
+            test.append(Sample(loud, graph_from_edges(loud, g.edges)))
+        cfg = TrainConfig(arch=MpgnnArch(n_tx_antennas=2), epochs=1, batch_size=4, seed=0)
+        with pytest.raises(FloatingPointError, match=r"^epoch 0, checkpoint: "):
             train(dataset(4, seed=10), cfg, test)
 
 
@@ -333,13 +347,13 @@ def test_forward_digests_frozen(ranks):
 
 def tape_nodes(root) -> int:
     """Recorded ops (nodes with a backward) reachable from root."""
-    seen, stack, count = set(), [root], 0
+    seen, stack, count = set(), [root.node], 0
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            count += t._backward is not None
-            stack.extend(t._parents)
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            count += node._backward is not None
+            stack.extend(node._parents)
     return count
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -182,77 +182,122 @@ def _snap_f32(a: np.ndarray) -> np.ndarray:
     return a.astype(np.float32).astype(np.float64)
 
 
+# Complex channel entries per block of samples that _scenarios
+# synthesizes together: about 1 MiB per complex temporary, so a block's
+# arithmetic runs inside a 2 MiB L2 cache.
+_BLOCK_ENTRIES = 2**16
+
+
+def _scenarios(cfg: ScenarioConfig, seeds: list[int]) -> Iterator[list[Scenario]]:
+    """The scenarios of `seeds`, one list per block of consecutive seeds.
+
+    Each seed draws from its own PCG64 stream, in the order that
+    generate_scenario documents, into arrays stacked over the block.
+    The arithmetic then runs once per block, with the ufuncs one
+    scenario alone would run, so every sample keeps its bits. A
+    ValueError names the first failing sample in seed order.
+    """
+    n, nt = cfg.n_pairs, cfg.n_tx_antennas
+    block = max(1, min(len(seeds), _BLOCK_ENTRIES // (n * n * nt)))
+    # Every block reuses these buffers, and each scenario gets a copy of
+    # its channels: block-sized arrays made per block would page-fault,
+    # where per-sample arrays reuse the heap.
+    re_buf = np.empty((block, n, n, nt))
+    im_buf = np.empty((block, n, n, nt))
+    h_buf = np.empty((block, n, n, nt), dtype=np.complex128)
+    psi = 10.0 ** (cfg.antenna_gain_dbi / 10.0)
+    noise_power = cfg.p_max / 10.0 ** (cfg.snr_db / 10.0)
+    for start in range(0, len(seeds), block):
+        k = min(block, len(seeds) - start)
+        re, im, h = re_buf[:k], im_buf[:k], h_buf[:k]
+        tx = np.empty((k, n, 2))
+        angles = np.empty((k, n))
+        radii = np.empty((k, n))
+        shadow = np.empty((k, n, n)) if cfg.shadow_sigma_db > 0.0 else None
+        w = np.ones((k, n))
+        for j, seed in enumerate(seeds[start:start + k]):
+            rg = np.random.Generator(np.random.PCG64(seed))
+            tx[j] = rg.uniform(0.0, cfg.area_side, size=(n, 2))
+            angles[j] = rg.uniform(0.0, 2.0 * np.pi, size=n)
+            radii[j] = rg.uniform(cfg.d_min, cfg.d_max, size=n)
+            if shadow is not None:
+                shadow[j] = rg.normal(0.0, cfg.shadow_sigma_db, size=(n, n))
+            rg.standard_normal(out=re[j])
+            rg.standard_normal(out=im[j])
+            if cfg.weights_mode == "uniform01":
+                w[j] = rg.uniform(0.0, 1.0, size=n)
+
+        rx = tx + radii[..., None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        # d[j, i, n]: TX i to RX n
+        d = np.linalg.norm(tx[:, :, None, :] - rx[:, None, :, :], axis=-1)
+        # Extreme distances, gains or shadowing can over- or underflow the
+        # path gain, the channels or their normalization; each is checked
+        # once on its result below.
+        with np.errstate(all="ignore"):
+            gain = 10.0 ** (-pathloss_db(d) / 20.0)
+            rho = 10.0 ** (shadow / 10.0) if shadow is not None else np.ones((k, n, n))
+            # h = alpha * gain * sqrt(psi * rho) * (re + 1j*im) / sqrt(2),
+            # then each part rounded to f32, all in place.
+            np.multiply(1j, im, out=h)
+            np.add(re, h, out=h)
+            np.true_divide(h, np.sqrt(2.0), out=h)
+            np.multiply((gain * np.sqrt(psi * rho))[..., None], h, out=h)
+            # Normalize so the mean desired-link power is 1; noise follows
+            # from the configured SNR in these units. SINR is unchanged.
+            desired = h[:, np.arange(n), np.arange(n), :]
+            alpha = 1.0 / np.sqrt(np.mean(np.sum(np.abs(desired) ** 2, axis=-1), axis=-1))
+            np.multiply(alpha[:, None, None, None], h, out=h)
+            re[...] = h.real.astype(np.float32)
+            im[...] = h.imag.astype(np.float32)
+            np.multiply(1j, im, out=h)
+            np.add(re, h, out=h)  # h now holds the channels
+            bad_gain = ~np.isfinite(gain).all(axis=(1, 2))
+            bad = bad_gain | ~np.isfinite(h).all(axis=(1, 2, 3))
+            if bad.any():
+                j = int(np.argmax(bad))
+                if bad_gain[j]:
+                    # Only a TX-RX distance near 0 m, which d_min bounds, overflows the gain.
+                    raise ValueError(
+                        f"d_min={cfg.d_min}: the derived largest path gain is "
+                        f"{float(np.max(gain[j]))}, which must be finite")
+                raise ValueError(
+                    f"antenna_gain_dbi={cfg.antenna_gain_dbi}, shadow_sigma_db={cfg.shadow_sigma_db}: "
+                    f"the derived largest channel power is {float(np.max(np.abs(h[j]) ** 2))}, "
+                    f"which must be finite and positive")
+
+        tx, rx, w = _snap_f32(tx), _snap_f32(rx), _snap_f32(w)
+        sigma2 = _snap_f32(np.full((k, n), noise_power))
+        yield [Scenario(tx[j], rx[j], h[j].copy(), w[j], sigma2[j], p_max=cfg.p_max)
+               for j in range(k)]
+
+
 def generate_scenario(cfg: ScenarioConfig, seed: int | None = None) -> Scenario:
-    """Draw one network realization, deterministic in (cfg, seed).
+    """Draw one network realization, deterministic in (cfg, seed); seed
+    defaults to cfg.seed.
 
     RNG consumption order (fixed for reproducibility): TX positions,
     RX offset angles, RX offset radii, shadowing (if enabled),
     small-scale fading real parts then imaginary parts, user weights
-    (if random).
+    (if random). This is the one-seed case of the block synthesis that
+    generate_dataset runs.
     """
-    n, nt = cfg.n_pairs, cfg.n_tx_antennas
-    rg = np.random.Generator(np.random.PCG64(cfg.seed if seed is None else seed))
+    seed = cfg.seed if seed is None else seed
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return next(_scenarios(cfg, [seed]))[0]
 
-    tx = rg.uniform(0.0, cfg.area_side, size=(n, 2))
-    angles = rg.uniform(0.0, 2.0 * np.pi, size=n)
-    radii = rg.uniform(cfg.d_min, cfg.d_max, size=n)
-    rx = tx + radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
-    # d[i, n]: TX i to RX n
-    d = np.linalg.norm(tx[:, None, :] - rx[None, :, :], axis=2)
-    psi = 10.0 ** (cfg.antenna_gain_dbi / 10.0)
-    # Extreme distances, gains or shadowing can over- or underflow the
-    # path gain, the channels or their normalization; each is checked
-    # once on its result below.
-    with np.errstate(all="ignore"):
-        gain = 10.0 ** (-pathloss_db(d) / 20.0)
-        if not np.isfinite(gain).all():
-            # Only a TX-RX distance near 0 m, which d_min bounds, overflows the gain.
-            raise ValueError(
-                f"d_min={cfg.d_min}: the derived largest path gain is {float(np.max(gain))}, "
-                f"which must be finite")
-        if cfg.shadow_sigma_db > 0.0:
-            rho = 10.0 ** (rg.normal(0.0, cfg.shadow_sigma_db, size=(n, n)) / 10.0)
-        else:
-            rho = np.ones((n, n))
-        g = (rg.standard_normal((n, n, nt)) + 1j * rg.standard_normal((n, n, nt))) / np.sqrt(2.0)
-        h = (gain * np.sqrt(psi * rho))[:, :, None] * g
-
-        # Normalize so the mean desired-link power is 1; noise follows
-        # from the configured SNR in these units. SINR is unchanged.
-        desired = h[np.arange(n), np.arange(n), :]
-        alpha = 1.0 / np.sqrt(np.mean(np.sum(np.abs(desired) ** 2, axis=1)))
-        h = alpha * h
-        channels = _snap_f32(h.real) + 1j * _snap_f32(h.imag)
-        if not np.isfinite(channels).all():
-            raise ValueError(
-                f"antenna_gain_dbi={cfg.antenna_gain_dbi}, shadow_sigma_db={cfg.shadow_sigma_db}: "
-                f"the derived largest channel power is {float(np.max(np.abs(channels) ** 2))}, "
-                f"which must be finite and positive")
-
-    if cfg.weights_mode == "uniform01":
-        w = rg.uniform(0.0, 1.0, size=n)
-    else:
-        w = np.ones(n)
-    sigma2 = np.full(n, cfg.p_max / 10.0 ** (cfg.snr_db / 10.0))
-
-    return Scenario(
-        tx_positions=_snap_f32(tx),
-        rx_positions=_snap_f32(rx),
-        channels=channels,
-        weights=_snap_f32(w),
-        noise_powers=_snap_f32(sigma2),
-        p_max=cfg.p_max,
-    )
+def _interferes(tx: np.ndarray, rx: np.ndarray, threshold: float) -> np.ndarray:
+    """mask[..., i, n]: i != n and TX i lies within `threshold` of RX n,
+    for positions of shape (..., N, 2)."""
+    d = np.linalg.norm(tx[..., :, None, :] - rx[..., None, :, :], axis=-1)
+    return (d < threshold) & ~np.eye(tx.shape[-2], dtype=bool)
 
 
 def interference_edges(s: Scenario, threshold: float) -> np.ndarray:
     """Ordered pairs (i, n), i != n, with TX i within `threshold` of RX n."""
-    n = s.n_pairs
-    d = np.linalg.norm(s.tx_positions[:, None, :] - s.rx_positions[None, :, :], axis=2)
-    mask = (d < threshold) & ~np.eye(n, dtype=bool)
-    src, dst = np.nonzero(mask)  # row-major: sorted by (source, target)
-    return np.stack([src, dst], axis=1).astype(np.intp)
+    src, dst = np.nonzero(_interferes(s.tx_positions, s.rx_positions, threshold))
+    return np.stack([src, dst], axis=1)  # row-major: sorted by (source, target)
 
 
 def _edge_problem(edges: np.ndarray, n: int) -> str | None:
@@ -291,14 +336,13 @@ def graph_from_edges(s: Scenario, edges: np.ndarray) -> Graph:
     problem = _graph_problem(s.noise_powers, edges, s.n_pairs)
     if problem:
         raise ValueError(problem)
-    z = np.concatenate(
-        [
-            split_complex(s.channels[np.arange(s.n_pairs), np.arange(s.n_pairs), :]),
-            s.weights[:, None],
-            s.noise_powers[:, None],
-        ],
-        axis=1,
-    )
+    return _graph(s, edges)
+
+
+def _graph(s: Scenario, edges: np.ndarray) -> Graph:
+    """The Graph of s on edges that _graph_problem accepts."""
+    diag = s.channels[np.arange(s.n_pairs), np.arange(s.n_pairs), :]
+    z = np.concatenate([diag.real, diag.imag, s.weights[:, None], s.noise_powers[:, None]], axis=1)
     feats = split_complex(s.channels[edges[:, 0], edges[:, 1], :])
     return Graph(vertex_features=z, edges=edges, edge_features=feats)
 
@@ -309,12 +353,34 @@ def build_graph(s: Scenario, cfg: ScenarioConfig) -> Graph:
 
 
 def generate_dataset(cfg: ScenarioConfig, n_samples: int, first_index: int = 0) -> list[Sample]:
-    """Generate samples with per-sample seeds cfg.seed XOR global index."""
+    """Generate samples with per-sample seeds cfg.seed XOR global index.
+
+    Each sample draws from its own seed's stream, in generate_scenario's
+    order, so sample i is generate_scenario(cfg, cfg.seed ^ i) with
+    build_graph's graph, bit for bit. The arithmetic and the graphs run
+    once per block of consecutive samples.
+    """
+    if n_samples < 0:
+        raise ValueError(f"n_samples must be >= 0, got {n_samples}")
+    if first_index < 0:
+        raise ValueError(f"first_index must be >= 0, got {first_index}")
     out = []
-    for i in range(first_index, first_index + n_samples):
-        s = generate_scenario(cfg, seed=cfg.seed ^ i)
-        out.append(Sample(s, build_graph(s, cfg)))
+    seeds = [cfg.seed ^ i for i in range(first_index, first_index + n_samples)]
+    for scenarios in _scenarios(cfg, seeds):
+        out.extend(map(Sample, scenarios, _graphs(scenarios, cfg.edge_threshold)))
     return out
+
+
+def _graphs(scenarios: list[Scenario], threshold: float) -> list[Graph]:
+    """build_graph of each scenario, with the edges of all of them taken
+    from one edge mask over their stacked positions."""
+    tx = np.stack([s.tx_positions for s in scenarios])
+    rx = np.stack([s.rx_positions for s in scenarios])
+    b, src, dst = np.nonzero(_interferes(tx, rx, threshold))
+    edges = np.stack([src, dst], axis=1)
+    counts = np.bincount(b, minlength=len(scenarios))
+    ends = np.cumsum(counts)
+    return [_graph(s, edges[e - c:e]) for s, c, e in zip(scenarios, counts, ends)]
 
 
 # ---------------------------------------------------------------------------

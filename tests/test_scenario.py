@@ -1,12 +1,15 @@
 """Network generation, graph construction, and dataset file checks."""
 
 import dataclasses
+import hashlib
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from lrgnn import scenario
 from lrgnn.scenario import (
     DatasetFormatError,
     Graph,
@@ -213,6 +216,86 @@ class TestGraph:
         rng = np.random.default_rng(0)
         h = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
         np.testing.assert_array_equal(merge_complex(split_complex(h)), h)
+
+
+# Settings of the benchmark's two workloads (perfbench/workloads.py).
+GRAPH_TRAIN = dict(n_pairs=10, n_tx_antennas=64, edge_threshold=1500.0, snr_db=10.0)
+NT512 = dict(n_pairs=3, n_tx_antennas=512, edge_threshold=1500.0, snr_db=10.0)
+
+
+def _arrays(sample):
+    s, g = sample
+    return (s.tx_positions, s.rx_positions, s.channels, s.weights, s.noise_powers,
+            g.vertex_features, g.edges, g.edge_features)
+
+
+def _first_error(cfg, indices):
+    """The message of the first sample in `indices` that generate_scenario
+    refuses, one seed at a time."""
+    for i in indices:
+        try:
+            generate_scenario(cfg, cfg.seed ^ i)
+        except ValueError as e:
+            return str(e)
+    raise AssertionError("no sample failed")
+
+
+class TestBlockSynthesis:
+    """generate_dataset synthesizes blocks of samples at once; every
+    sample must keep the bits it has when drawn alone."""
+
+    @pytest.mark.parametrize("settings, k, digest", [
+        (GRAPH_TRAIN, 20, "26283eea62a1d9a9fbb9bc4d563a787f1a5887652e82cd4d825f3403c6f7ae20"),
+        (NT512, 10, "887e44c4db2f9d279c8bddca4e279244fb79dd859388c033cd2868f1d0012e51"),
+        (dict(n_pairs=4, n_tx_antennas=3, weights_mode="uniform01", shadow_sigma_db=0.0), 20,
+         "ba231a25418bbec75d671279de407726bcfff8fb91b57c972b9c913bd12884d5"),
+    ])
+    def test_dataset_bytes_frozen(self, tmp_path, settings, k, digest):
+        # Recorded from the one-sample-at-a-time generator these blocks replaced.
+        path = tmp_path / "d.bin"
+        write_dataset(generate_dataset(ScenarioConfig(**settings), k), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("cfg", [ScenarioConfig(seed=3, **GRAPH_TRAIN), small_cfg(seed=5)],
+                             ids=["blocks-of-10", "one-block"])
+    def test_block_boundaries_keep_single_sample_bits(self, cfg):
+        if cfg.n_pairs == 10:  # 37 samples from index 5 cross three block boundaries
+            assert scenario._BLOCK_ENTRIES // (cfg.n_pairs ** 2 * cfg.n_tx_antennas) == 10
+        samples = generate_dataset(cfg, 37, first_index=5)
+        assert len(samples) == 37
+        for i, got in zip(range(5, 42), samples):
+            s = generate_scenario(cfg, cfg.seed ^ i)
+            assert got.scenario.p_max == s.p_max
+            for a, b in zip(_arrays(got), _arrays(Sample(s, build_graph(s, cfg)))):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("settings, first_index, says", [
+        (dict(shadow_sigma_db=1e6), 0, "largest channel power is nan,"),
+        (dict(d_min=1e-300, d_max=1e-299), 0, "largest path gain is inf,"),
+        # Sample 4 fails first; sample 9, in the same block, would report nan.
+        (dict(shadow_sigma_db=1500.0), 3, "largest channel power is inf,"),
+    ])
+    def test_errors_name_the_first_failing_sample(self, settings, first_index, says):
+        cfg = small_cfg(seed=0, **settings)
+        message = _first_error(cfg, range(first_index, first_index + 20))
+        assert says in message
+        if first_index == 0:
+            with pytest.raises(ValueError) as alone:
+                generate_scenario(cfg)
+            assert str(alone.value) == message
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_dataset(cfg, 20, first_index=first_index)
+
+    def test_rejects_negative_counts_and_seeds(self):
+        cfg = small_cfg()
+        with pytest.raises(ValueError, match="n_samples must be >= 0, got -3"):
+            generate_dataset(cfg, -3)
+        with pytest.raises(ValueError, match="first_index must be >= 0, got -1"):
+            generate_dataset(cfg, 2, first_index=-1)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -5"):
+            generate_scenario(cfg, -5)
+        assert generate_dataset(cfg, 0) == []
 
 
 class TestDatasetFiles:
